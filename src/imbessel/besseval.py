@@ -98,11 +98,14 @@ def series_sum(nu: float, x: float, family: str,
 
     Returns sum_{k>=0} (+-1)^k (x/2)^{2k} / (k! (1+i nu)_k), built by the
     term-ratio recurrence and truncated when the current term's modulus falls
-    to tol times the partial sum's. Raises ConvergenceError past 500 terms,
-    which cannot happen for x <= 50 at the default tolerance.
+    to tol times the partial sum's. Raises DomainError for non-finite nu or
+    x, and ConvergenceError past 500 terms, which cannot happen for x <= 50
+    at the default tolerance.
     """
-    if not (x > 0.0):
-        raise DomainError(f"series_sum requires x > 0, got {x!r}")
+    if not (0.0 < x < math.inf):
+        raise DomainError(f"series_sum requires finite x > 0, got {x!r}")
+    if not (-math.inf < nu < math.inf):
+        raise DomainError(f"series_sum requires finite nu, got {nu!r}")
     if not (tol > 0.0):
         raise DomainError(f"series_sum requires tol > 0, got {tol!r}")
     if family == "modified":
@@ -183,15 +186,16 @@ def detection_value(kind: object, nu: float, x: float) -> float:
 def eval_function(kind: object, nu: float, x: float) -> ScaledReal:
     """Evaluate L, K, F, or G at (nu, x) in scaled form.
 
-    Requires nu >= NU_MIN; the sinh-weighted definitions degenerate at
-    nu = 0 and the studied zeros all lie far above the guard.
+    Requires finite nu >= NU_MIN and finite x > 0; the sinh-weighted
+    definitions degenerate at nu = 0 and the studied zeros all lie far
+    above the guard.
     """
     tag = _tag(kind)
-    if not (nu >= NU_MIN):
+    if not (NU_MIN <= nu < math.inf):
         raise DomainError(
             f"eval_function requires nu >= {NU_MIN!r}, got {nu!r}")
-    if not (x > 0.0):
-        raise DomainError(f"eval_function requires x > 0, got {x!r}")
+    if not (0.0 < x < math.inf):
+        raise DomainError(f"eval_function requires finite x > 0, got {x!r}")
     if tag in ("L", "K"):
         scaled = eval_I_scaled(nu, x)
     else:

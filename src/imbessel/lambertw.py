@@ -47,12 +47,12 @@ def lambert_w0(z: float) -> WResult:
     """Principal branch W(z) for z >= 0 by Halley iteration.
 
     Terminates when the step falls below 4 * eps * (1 + |w|); raises
-    DomainError for negative z and ConvergenceError if 50 iterations do
-    not suffice (unreachable for valid input, kept as a guard).
+    DomainError for negative or non-finite z and ConvergenceError if 50
+    iterations do not suffice (unreachable for valid input, kept as a guard).
     """
     z = float(z)
-    if z < 0.0:
-        raise DomainError(f"lambert_w0 requires z >= 0, got {z!r}")
+    if not (0.0 <= z < math.inf):
+        raise DomainError(f"lambert_w0 requires finite z >= 0, got {z!r}")
     if z == 0.0:
         return WResult(0.0, 0.0)
 

@@ -7,8 +7,8 @@ or (n - 1/4) pi accordingly, the leading zero solves xi * log(lambda xi) = m,
 which the Lambert W function inverts as xi = m / W(lambda m); three further
 corrections B_k / m^{2k+1} from the coefficient pipeline complete the
 estimate. Refinement brackets the sign change of the unit-normalized function
-value around the estimate and bisects, guarded so the bracket can never leak
-to an adjacent zero.
+value around the estimate, guarded so the bracket can never leak to an
+adjacent zero, and closes in on it with Brent-Dekker's zeroin.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .asymcoeff import coefficient_set, correction_coefficients
 from .besseval import ScaledReal, detection_value, eval_function
@@ -31,6 +32,8 @@ __all__ = ["FunctionKind", "ZeroEstimate", "ZeroRecord", "phase",
 _MAX_EXPANSIONS = 6
 
 _DEFAULT_WIDTH = 1e-12
+
+_EPS = math.ulp(1.0)
 
 
 class FunctionKind(enum.Enum):
@@ -94,7 +97,7 @@ class ZeroEstimate:
 class ZeroRecord:
     """One refined zero: estimate, refined value, and refinement evidence.
 
-    bracket is the sign-changing interval the bisection started from, so the
+    bracket is the sign-changing interval the solver started from, so the
     function values at its ends measure the local scale the final residual is
     judged against.
     """
@@ -180,15 +183,71 @@ def _phase_window(estimate: ZeroEstimate) -> tuple[float, float]:
             leading_xi(estimate.m + half, estimate.lambda_))
 
 
+def _brent(g: Callable[[float], float], a: float, b: float, fa: float,
+           fb: float, tol: float) -> float:
+    """Brent-Dekker zeroin on [a, b], where g(a) and g(b) differ in sign.
+
+    Each step takes inverse quadratic or secant interpolation when it lands
+    well inside the bracket and shrinks it fast enough, and a bisection step
+    otherwise (Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4). Stops once the bracket half-width is at most 2 eps |b| + tol / 2
+    and returns the secant point of that bracket, or returns b as soon as
+    g(b) == 0.0.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        # Keep b the best iterate and [b, c] the bracket.
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if fb == 0.0:
+            return b
+        if abs(xm) <= tol1:
+            # The secant point of the final bracket costs no evaluation and
+            # lies strictly inside it, even when tol is coarser than the
+            # starting bracket and b is still one of its ends.
+            return b - fb * (c - b) / (fc - fb)
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            # Interpolate only if the step stays inside the bracket and
+            # shrinks faster than the step before last; else bisect.
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = g(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+
+
 def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
                 tol: float = _DEFAULT_WIDTH) -> ZeroRecord:
     """Refine an asymptotic estimate to a machine-accurate zero.
 
     Brackets the unit-normalized detection value on [nu - h, nu + h] with
     h seeded by the last correction term, expanding geometrically inside the
-    phase window when needed, then bisects to width `tol` and applies one
-    secant polish. Raises BracketingError when no sign change exists inside
-    the window, which signals an invalid estimate.
+    phase window when needed, then runs a Brent-Dekker solver on that
+    bracket until it is at most `tol` (plus a few ulps) wide. Raises
+    BracketingError when no sign change exists inside the window, which
+    signals an invalid estimate.
     """
     kind = FunctionKind.coerce(kind)
     if (estimate.kind is not kind or estimate.n != n
@@ -233,31 +292,12 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
 
     bracket = (lo, hi)
 
-    # An exact zero at an endpoint cannot be bisected; accept it directly.
+    # An exact zero at an endpoint needs no solver; accept it directly.
     if g_lo == 0.0 or g_hi == 0.0:
         nu_refined = lo if g_lo == 0.0 else hi
         bracket = (nu_refined - tol, nu_refined + tol)
     else:
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            g_mid = g(mid)
-            if g_mid == 0.0:
-                lo, g_lo = mid - 0.5 * tol, g(mid - 0.5 * tol)
-                hi, g_hi = mid + 0.5 * tol, g(mid + 0.5 * tol)
-                break
-            if (g_mid < 0.0) == (g_lo < 0.0):
-                lo, g_lo = mid, g_mid
-            else:
-                hi, g_hi = mid, g_mid
-        # One secant step recovers locally quadratic accuracy from the
-        # final bracket; fall back to the midpoint if it degenerates.
-        nu_refined = 0.5 * (lo + hi)
-        if g_hi != g_lo:
-            secant = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-            if lo < secant < hi:
-                nu_refined = secant
+        nu_refined = _brent(g, lo, hi, g_lo, g_hi, tol)
 
     nu_asymptotic = estimate.nu
     return ZeroRecord(

@@ -91,6 +91,10 @@ def test_series_gap_to_truncated_c_expansion_scales_as_nu_minus6():
     lambda: series_sum(1.0, 1.0, "modified", tol=0.0),
     lambda: series_sum(1.0, 1.0, "modified", tol=-1e-3),
     lambda: series_sum(1.0, 1.0, "bessel"),
+    lambda: series_sum(1.0, math.inf, "modified"),
+    lambda: series_sum(1.0, math.nan, "ordinary"),
+    lambda: series_sum(math.inf, 1.0, "modified"),
+    lambda: series_sum(math.nan, 1.0, "ordinary"),
 ])
 def test_series_validates_arguments(bad_call):
     with pytest.raises(DomainError):
@@ -159,6 +163,14 @@ def test_eval_function_guards():
         eval_function("Q", 1.0, 1.0)
     assert NU_MIN == 1e-3
     assert eval_function("L", NU_MIN, 1.0).plain() is not None
+
+
+@pytest.mark.parametrize("nu,x", [(math.inf, 1.0), (math.nan, 1.0),
+                                  (2.0, math.inf), (2.0, math.nan)])
+@pytest.mark.parametrize("kind", ["L", "F"])
+def test_eval_function_rejects_non_finite_inputs(kind, nu, x):
+    with pytest.raises(DomainError):
+        eval_function(kind, nu, x)
 
 
 def test_eval_function_returns_normalized_values():

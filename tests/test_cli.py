@@ -255,6 +255,13 @@ def test_eval_domain_error_exits_2(capsys):
     assert err == "error: eval_function requires nu >= 0.001, got 0.0001\n"
 
 
+def test_eval_non_finite_nu_exits_2(capsys):
+    code, out, err = _run(capsys, ["eval", "--kind", "L", "--nu", "inf"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: eval_function requires nu >= 0.001, got inf\n"
+
+
 def test_zeros_outside_validity_exits_2(capsys):
     code, out, err = _run(capsys, ["zeros", "--kind", "L", "--x", "0.05"])
     assert code == 2

@@ -40,6 +40,12 @@ def test_w_rejects_negative_argument():
         lambert_w0(-0.5)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf])
+def test_w_rejects_non_finite_argument(z):
+    with pytest.raises(DomainError):
+        lambert_w0(z)
+
+
 def test_round_trip_residual_on_log_grid():
     for z in _log_grid(1e-3, 1e9, 10000):
         result = lambert_w0(z)

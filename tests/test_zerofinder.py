@@ -13,6 +13,8 @@ from imbessel import (BracketingError, DomainError, EnumerationError,
                       enumerate_zeros, leading_xi, leading_zero, phase,
                       refine_zero)
 
+import imbessel.zerofinder as zerofinder
+
 from golden import NS, TABLE_ASYMPTOTIC, TABLE_ZERO, dp6, fnum
 
 
@@ -88,6 +90,10 @@ def test_leading_zero_accuracy_for_k_n10():
     # W's expansion, so that term bounds its relative deviation from the
     # true zero.
     value = leading_zero("K", 10, 1.0)
+    # Pins the quarter offset and lambda exactly: (n + 1/4) pi for K would
+    # still land inside the deviation bound below.
+    m = 9.75 * math.pi
+    assert value == pytest.approx(m / math.log(2.0 * m / math.e), rel=1e-12)
     target = TABLE_ZERO["K"][NS.index(10)]
     log_lm = math.log(2.0 / math.e * FunctionKind.K.m_value(10))
     bound = math.log(log_lm) / log_lm
@@ -220,6 +226,54 @@ def test_refine_zero_secant_polish_beats_the_bisection_tolerance(reference):
     record = refine_zero("L", 1, 1.0, estimate, tol=1e-6)
     true = fnum(reference["true_zeros_x1"]["L"][0])
     assert abs(record.nu_refined - true) <= 1e-6
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("kind", ["L", "K", "F", "G"])
+def test_refine_zero_needs_at_most_8_detection_evaluations(kind, x,
+                                                           monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return detection_value(*args)
+
+    monkeypatch.setattr(zerofinder, "detection_value", counting)
+    for n in (5, 10, 50, 200):
+        calls.clear()
+        record = refine_zero(kind, n, x, asymptotic_zero(kind, n, x))
+        assert len(calls) <= 8, f"{kind} n={n} x={x}: {len(calls)} calls"
+        lo, hi = record.bracket
+        assert lo < record.nu_refined < hi, f"{kind} n={n} x={x}"
+
+
+def test_brent_returns_an_interior_iterate_where_g_is_exactly_zero():
+    # The first interior iterate reports an exact zero; the solver must stop
+    # there instead of shrinking the bracket further.
+    evaluated = []
+
+    def g(nu):
+        evaluated.append(nu)
+        return 0.0 if len(evaluated) == 1 else nu - 0.3
+
+    got = zerofinder._brent(g, 0.0, 1.0, -0.3, 0.7, 1e-12)
+    assert evaluated and 0.0 < evaluated[0] < 1.0
+    assert got == evaluated[0]
+    assert len(evaluated) == 1
+
+
+def test_a_tolerance_coarser_than_the_bracket_still_lands_inside_it():
+    # tol = 1 stops the solver before its first step, so only the final
+    # secant point keeps the answer off the bracket ends.
+    for kind in "LKFG":
+        record = refine_zero(kind, 1, 1.0, asymptotic_zero(kind, 1, 1.0),
+                             tol=1.0)
+        lo, hi = record.bracket
+        assert lo < record.nu_refined < hi, kind
+        ends = min(abs(detection_value(kind, lo, 1.0)),
+                   abs(detection_value(kind, hi, 1.0)))
+        assert abs(detection_value(kind, record.nu_refined, 1.0)) < \
+            0.1 * ends, kind
 
 
 def test_record_brackets_straddle_a_sign_change(records_x1):
