@@ -120,11 +120,9 @@ def cmd_zeros(config: RunConfig, out) -> int:
         estimate = asymptotic_zero(kind, config.n, config.x, config.order)
         records = [refine_zero(kind, config.n, config.x, estimate,
                                config.tol)]
-        ns = [config.n]
     else:
         records = enumerate_zeros(kind, config.x, config.n_max,
                                   config.order, config.tol)
-        ns = list(range(1, config.n_max + 1))
 
     if config.format == "json":
         out.write(json.dumps([_record_json(r) for r in records]) + "\n")
@@ -138,12 +136,11 @@ def cmd_zeros(config: RunConfig, out) -> int:
                   f"{'partial2':>13} {'partial3':>13} {'refined':>13} "
                   f"{'discrepancy':>12} {'width':>10} "
                   f"{'res_mantissa':>13} {'res_log':>10}\n")
-        for n, record in zip(ns, records):
-            estimate = asymptotic_zero(kind, n, config.x, config.order)
-            p = estimate.partial
+        for record in records:
+            p = record.partial
             width = record.bracket[1] - record.bracket[0]
             out.write(
-                f"{n:>4} {p[0]:>13.8f} {p[1]:>13.8f} {p[2]:>13.8f} "
+                f"{record.n:>4} {p[0]:>13.8f} {p[1]:>13.8f} {p[2]:>13.8f} "
                 f"{p[3]:>13.8f} {record.nu_refined:>13.8f} "
                 f"{record.discrepancy:>12.3e} {width:>10.3e} "
                 f"{record.residual.mantissa:>13.6f} "
@@ -213,10 +210,10 @@ def cmd_coeffs(config: RunConfig, out) -> int:
     coeffs = coefficient_set(config.x, kind.family)
     ns = [config.n] if config.n is not None \
         else list(range(1, config.n_max + 1))
+    lambda_ = 2.0 / (math.e * config.x)
     per_n = []
     for n in ns:
         m = kind.m_value(n)
-        lambda_ = 2.0 / (math.e * config.x)
         xi = leading_xi(m, lambda_)
         correction = correction_coefficients(list(coeffs.A), xi, m)
         per_n.append({

@@ -8,7 +8,9 @@ which the Lambert W function inverts as xi = m / W(lambda m); three further
 corrections B_k / m^{2k+1} from the coefficient pipeline complete the
 estimate. Refinement brackets the sign change of the unit-normalized function
 value around the estimate, guarded so the bracket can never leak to an
-adjacent zero, and closes in on it with Brent-Dekker's zeroin.
+adjacent zero, and closes in on it with Brent-Dekker's zeroin started from the
+estimate. The coefficient set depends on x and the family only, so an
+enumeration builds it once for all its zeros.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class ZeroRecord:
 
     bracket is the sign-changing interval the solver started from, so the
     function values at its ends measure the local scale the final residual is
-    judged against.
+    judged against. partial carries the estimate's four cumulative sums.
     """
 
     kind: FunctionKind
@@ -110,6 +112,7 @@ class ZeroRecord:
     discrepancy: float
     bracket: tuple[float, float]
     residual: ScaledReal
+    partial: tuple[float, float, float, float]
 
 
 def phase(nu: float, lambda_: float) -> float:
@@ -151,11 +154,22 @@ def asymptotic_zero(kind: object, n: int, x: float,
     kind = FunctionKind.coerce(kind)
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
+    _check_estimate_args(x, order)
+    return _estimate(kind, n, x, order,
+                     list(coefficient_set(x, kind.family).A))
+
+
+def _check_estimate_args(x: float, order: int) -> None:
     if not (x > 0.0):
         raise DomainError(f"asymptotic_zero requires x > 0, got {x!r}")
     if order not in (0, 1, 2, 3):
         raise DomainError(f"order must be in 0..3, got {order!r}")
 
+
+def _estimate(kind: FunctionKind, n: int, x: float, order: int,
+              A: list[float]) -> ZeroEstimate:
+    # The estimate for validated arguments, from the A coefficients of
+    # coefficient_set(x, kind.family).
     m = kind.m_value(n)
     lambda_ = 2.0 / (math.e * x)
     xi = leading_xi(m, lambda_)
@@ -163,9 +177,7 @@ def asymptotic_zero(kind: object, n: int, x: float,
     if not (xi > threshold):
         raise UnreliableAsymptoticsError(xi, threshold)
 
-    coeffs = coefficient_set(x, kind.family)
-    correction = correction_coefficients(list(coeffs.A), xi, m)
-    B0, B1, B2 = correction.B
+    B0, B1, B2 = correction_coefficients(A, xi, m).B
     p0 = xi
     p1 = p0 + B0 / m
     p2 = p1 + B1 / m ** 3
@@ -181,6 +193,17 @@ def _phase_window(estimate: ZeroEstimate) -> tuple[float, float]:
     half = math.pi / 2.0
     return (leading_xi(estimate.m - half, estimate.lambda_),
             leading_xi(estimate.m + half, estimate.lambda_))
+
+
+def _inside_phase_window(lo: float, hi: float,
+                         estimate: ZeroEstimate) -> bool:
+    # Phi increases wherever lambda nu > 1/e, and the window ends lie there,
+    # so Phi within the window at both ends puts [lo, hi] inside it without
+    # the two Lambert-W solves of _phase_window.
+    lambda_, m = estimate.lambda_, estimate.m
+    return (lambda_ * lo > 1.0 / math.e
+            and phase(lo, lambda_) > m - math.pi / 4.0
+            and phase(hi, lambda_) < m + 0.75 * math.pi)
 
 
 def _brent(g: Callable[[float], float], a: float, b: float, fa: float,
@@ -244,8 +267,10 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
 
     Brackets the unit-normalized detection value on [nu - h, nu + h] with
     h seeded by the last correction term, expanding geometrically inside the
-    phase window when needed, then runs a Brent-Dekker solver on that
-    bracket until it is at most `tol` (plus a few ulps) wide. Raises
+    phase window when needed; the window is solved for only when a bracket
+    end may lie outside it. A Brent-Dekker solver then starts from the
+    estimate on the half of the bracket that changes sign and runs until
+    its bracket is at most `tol` (plus a few ulps) wide. Raises
     BracketingError when no sign change exists inside the window, which
     signals an invalid estimate.
     """
@@ -263,16 +288,25 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
 
     nu_hat = estimate.partial[3]
     h = max(0.05, 2.0 * abs(estimate.partial[3] - estimate.partial[2]))
-    window_lo, window_hi = _phase_window(estimate)
+    window = None
 
-    lo = max(window_lo, nu_hat - h)
-    hi = min(window_hi, nu_hat + h)
+    def clamp(h: float) -> tuple[float, float]:
+        # nu_hat -+ h clamped to the phase window, solved for on first need.
+        nonlocal window
+        lo, hi = nu_hat - h, nu_hat + h
+        if window is None and not _inside_phase_window(lo, hi, estimate):
+            window = _phase_window(estimate)
+        if window is not None:
+            lo, hi = max(window[0], lo), min(window[1], hi)
+        return lo, hi
+
+    lo, hi = clamp(h)
     # A center outside the phase window clamps to an empty interval; the
     # estimate cannot belong to this zero, so fail rather than search.
     if lo >= hi:
         raise BracketingError(
             f"estimate nu = {nu_hat!r} lies outside the phase window "
-            f"({window_lo!r}, {window_hi!r}) for {kind.value} n={n} "
+            f"({window[0]!r}, {window[1]!r}) for {kind.value} n={n} "
             f"x={x!r}", (lo, hi))
     g_lo = g(lo)
     g_hi = g(hi)
@@ -280,8 +314,7 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
         if g_lo == 0.0 or g_hi == 0.0 or (g_lo < 0.0) != (g_hi < 0.0):
             break
         h *= 2.0
-        lo = max(window_lo, nu_hat - h)
-        hi = min(window_hi, nu_hat + h)
+        lo, hi = clamp(h)
         g_lo = g(lo)
         g_hi = g(hi)
     else:
@@ -296,6 +329,14 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
     if g_lo == 0.0 or g_hi == 0.0:
         nu_refined = lo if g_lo == 0.0 else hi
         bracket = (nu_refined - tol, nu_refined + tol)
+    elif lo < nu_hat < hi:
+        # The estimate is the best first iterate; _brent returns it at once
+        # if g vanishes there exactly.
+        g_hat = g(nu_hat)
+        if (g_lo < 0.0) != (g_hat < 0.0):
+            nu_refined = _brent(g, lo, nu_hat, g_lo, g_hat, tol)
+        else:
+            nu_refined = _brent(g, hi, nu_hat, g_hi, g_hat, tol)
     else:
         nu_refined = _brent(g, lo, hi, g_lo, g_hi, tol)
 
@@ -309,6 +350,7 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
         discrepancy=abs(nu_asymptotic - nu_refined),
         bracket=bracket,
         residual=eval_function(kind, nu_refined, x),
+        partial=estimate.partial,
     )
 
 
@@ -316,8 +358,11 @@ def enumerate_zeros(kind: object, x: float, n_max: int,
                     order: int = 3, tol: float = _DEFAULT_WIDTH) -> list[ZeroRecord]:
     """Refined zeros for n = 1..n_max, strictly increasing in nu.
 
-    The first failing index aborts the enumeration with the completed
-    records attached to the raised EnumerationError.
+    Builds the coefficient set once and derives every estimate from it, so
+    each record equals refine_zero(kind, n, x, asymptotic_zero(kind, n, x,
+    order), tol). The first failing index, n = 1 for an invalid x or order,
+    aborts the enumeration with the completed records attached to the
+    raised EnumerationError.
     """
     kind = FunctionKind.coerce(kind)
     if not (isinstance(n_max, int) and n_max >= 1):
@@ -325,7 +370,10 @@ def enumerate_zeros(kind: object, x: float, n_max: int,
     records: list[ZeroRecord] = []
     for n in range(1, n_max + 1):
         try:
-            estimate = asymptotic_zero(kind, n, x, order)
+            if n == 1:
+                _check_estimate_args(x, order)
+                A = list(coefficient_set(x, kind.family).A)
+            estimate = _estimate(kind, n, x, order, A)
             record = refine_zero(kind, n, x, estimate, tol)
             if records and record.nu_refined <= records[-1].nu_refined:
                 raise ConvergenceError(

@@ -5,8 +5,11 @@ from __future__ import annotations
 import importlib.metadata
 import json
 import math
+import os
+import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -326,3 +329,16 @@ def test_console_script_is_installed():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.startswith("L(nu=1.0, x=1.0):")
+
+
+def test_python_dash_m_runs_the_cli_without_warnings(capsys):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["eval", "--kind", "L", "--nu", "2", "--x", "1"]
+    result = subprocess.run([sys.executable, "-m", "imbessel", *argv],
+                            capture_output=True, text=True, env=env,
+                            timeout=60)
+    code, out, _ = _run(capsys, argv)
+    assert result.returncode == code == 0
+    assert result.stderr == ""
+    assert result.stdout == out

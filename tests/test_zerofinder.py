@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -221,6 +222,27 @@ def test_refine_zero_rejects_estimates_outside_the_phase_window():
     assert info.value.bracket[0] >= info.value.bracket[1]
 
 
+def test_the_phase_window_is_solved_only_when_the_bracket_may_leave_it(
+        monkeypatch):
+    calls = []
+    solve = zerofinder._phase_window
+
+    def counting(estimate):
+        calls.append(estimate)
+        return solve(estimate)
+
+    monkeypatch.setattr(zerofinder, "_phase_window", counting)
+    kind = FunctionKind.K
+    real = asymptotic_zero(kind, 1, 1.0)
+    refine_zero(kind, 1, 1.0, real)
+    assert calls == []
+    bogus = ZeroEstimate(kind, 1, 1.0, real.m, real.lambda_, 20.0,
+                         (20.0, 20.0, 20.0, 20.0), 3)
+    with pytest.raises(BracketingError):
+        refine_zero(kind, 1, 1.0, bogus)
+    assert calls == [bogus]
+
+
 def test_refine_zero_secant_polish_beats_the_bisection_tolerance(reference):
     estimate = asymptotic_zero("L", 1, 1.0)
     record = refine_zero("L", 1, 1.0, estimate, tol=1e-6)
@@ -245,6 +267,24 @@ def test_refine_zero_needs_at_most_8_detection_evaluations(kind, x,
         assert len(calls) <= 8, f"{kind} n={n} x={x}: {len(calls)} calls"
         lo, hi = record.bracket
         assert lo < record.nu_refined < hi, f"{kind} n={n} x={x}"
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("kind", ["L", "K", "F", "G"])
+def test_refine_zero_starts_the_solver_at_the_estimate(kind, x, monkeypatch):
+    # Far out the estimate is within about 1e-12 of the zero: two bracket
+    # ends, the estimate and at most two solver steps.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return detection_value(*args)
+
+    monkeypatch.setattr(zerofinder, "detection_value", counting)
+    estimate = asymptotic_zero(kind, 200, x)
+    refine_zero(kind, 200, x, estimate)
+    assert len(calls) <= 5, f"{kind} x={x}: {len(calls)} calls"
+    assert estimate.partial[3] in [nu for _, nu, _ in calls]
 
 
 def test_brent_returns_an_interior_iterate_where_g_is_exactly_zero():
@@ -362,3 +402,37 @@ def test_enumerate_abort_attaches_completed_records():
     assert info.value.n == 1
     assert info.value.partial == ()
     assert isinstance(info.value.__cause__, UnreliableAsymptoticsError)
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("kind", ["L", "K", "F", "G"])
+def test_enumerate_matches_refining_each_estimate(kind, x):
+    records = enumerate_zeros(kind, x, 60)
+    assert [record.n for record in records] == list(range(1, 61))
+    for record in records:
+        n = record.n
+        want = refine_zero(kind, n, x, asymptotic_zero(kind, n, x))
+        for field in dataclasses.fields(want):
+            assert getattr(record, field.name) == \
+                getattr(want, field.name), f"{kind} n={n} {field.name}"
+
+
+def test_enumerate_builds_the_coefficient_set_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return coefficient_set(*args)
+
+    monkeypatch.setattr(zerofinder, "coefficient_set", counting)
+    assert len(enumerate_zeros("F", 2.0, 25)) == 25
+    assert calls == [(2.0, "ordinary")]
+
+
+@pytest.mark.parametrize("x,order", [(-1.0, 3), (math.nan, 3), (1.0, 7)])
+def test_enumerate_reports_invalid_arguments_at_n_1(x, order):
+    with pytest.raises(EnumerationError) as info:
+        enumerate_zeros("L", x, 3, order=order)
+    assert info.value.n == 1
+    assert info.value.partial == ()
+    assert isinstance(info.value.__cause__, DomainError)
