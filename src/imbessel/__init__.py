@@ -8,31 +8,25 @@ expansion carrying up to three correction terms, and refines each estimate
 to near machine accuracy with a bracketing root finder.
 """
 
-from .asymcoeff import (A_coefficients, CoefficientSet,
-                        CorrectionCoefficients, a_coefficients,
-                        c_polynomials, coefficient_set,
-                        correction_coefficients)
-from .besseval import (NU_MIN, ScaledComplex, ScaledReal, detection_value,
-                       eval_I_scaled, eval_J_scaled, eval_function,
-                       series_sum)
-from .cgamma import (STIRLING_COEFFICIENTS, StirlingCoefficients, log_gamma,
-                     recip_gamma_prefactor)
+from .asymcoeff import (A_coefficients, a_coefficients, c_polynomials,
+                        coefficient_set, correction_coefficients)
+from .besseval import (NU_MIN, FunctionKind, ScaledComplex, ScaledReal,
+                       detection_value, eval_I_scaled, eval_J_scaled,
+                       eval_function, series_sum)
+from .cgamma import STIRLING_COEFFICIENTS, log_gamma, recip_gamma_prefactor
 from .cli import RunConfig, main
 from .errors import (BracketingError, ConvergenceError, DomainError,
                      EnumerationError, UnreliableAsymptoticsError)
-from .lambertw import WResult, lambert_w0, w_asymptotic
-from .zerofinder import (FunctionKind, ZeroEstimate, ZeroRecord,
-                         asymptotic_zero, enumerate_zeros, leading_xi,
-                         leading_zero, phase, refine_zero)
+from .lambertw import lambert_w0, w_asymptotic
+from .zerofinder import (ZeroEstimate, asymptotic_zero, enumerate_zeros,
+                         leading_xi, leading_zero, phase, refine_zero)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "A_coefficients",
     "BracketingError",
-    "CoefficientSet",
     "ConvergenceError",
-    "CorrectionCoefficients",
     "DomainError",
     "EnumerationError",
     "FunctionKind",
@@ -41,11 +35,8 @@ __all__ = [
     "STIRLING_COEFFICIENTS",
     "ScaledComplex",
     "ScaledReal",
-    "StirlingCoefficients",
     "UnreliableAsymptoticsError",
-    "WResult",
     "ZeroEstimate",
-    "ZeroRecord",
     "a_coefficients",
     "asymptotic_zero",
     "c_polynomials",

@@ -25,6 +25,9 @@ __all__ = ["CoefficientSet", "CorrectionCoefficients", "c_polynomials",
 
 _FAMILIES = ("modified", "ordinary")
 
+# The Stirling coefficients gamma_k as floats, converted once.
+_GAMMA = tuple(float(g) for g in STIRLING_COEFFICIENTS)
+
 
 @dataclass(frozen=True)
 class CoefficientSet:
@@ -82,8 +85,7 @@ def a_coefficients(chi: float, family: str) -> list[float]:
         raise DomainError(f"family must be one of {_FAMILIES}, got {family!r}")
     arg = float(chi) if family == "modified" else -float(chi)
     C = c_polynomials(arg)
-    gamma = STIRLING_COEFFICIENTS.as_floats()
-    return [sum(gamma[r] * C[k - r] for r in range(k + 1)) for k in range(6)]
+    return [sum(_GAMMA[r] * C[k - r] for r in range(k + 1)) for k in range(6)]
 
 
 def A_coefficients(a: list[float]) -> list[float]:

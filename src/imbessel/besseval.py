@@ -13,6 +13,9 @@ The G combination is the real variant of the usual difference definition,
 which as commonly printed is purely imaginary; dividing by i gives this form
 and leaves the nu-zeros unchanged.
 
+FunctionKind holds these facts for each kind, along with the quarter-pi
+offset of its zeros, and both evaluators and the zero finder read them there.
+
 Zeros in nu are located on the unit-normalized value unit_phase * series_sum:
 the positive factors exp(log_scale) and the hyperbolic weights can neither
 create nor destroy sign changes, and stripping them avoids underflow at
@@ -21,14 +24,16 @@ large nu.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
 from .cgamma import recip_gamma_prefactor
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["ScaledReal", "ScaledComplex", "series_sum", "eval_I_scaled",
-           "eval_J_scaled", "eval_function", "detection_value", "NU_MIN"]
+__all__ = ["FunctionKind", "ScaledReal", "ScaledComplex", "series_sum",
+           "eval_I_scaled", "eval_J_scaled", "eval_function",
+           "detection_value", "NU_MIN"]
 
 # Below this order the sinh factors of L, K, G degenerate; the studied zeros
 # all sit well above it.
@@ -42,8 +47,6 @@ _MAX_TERMS = 500
 
 _MANTISSA_LO = 1.0 / math.e
 _MANTISSA_HI = math.e
-
-_VALID_TAGS = ("L", "K", "F", "G")
 
 
 @dataclass(frozen=True)
@@ -141,31 +144,82 @@ def eval_J_scaled(nu: float, x: float) -> ScaledComplex:
                          log_magnitude)
 
 
-def _tag(kind: object) -> str:
-    name = getattr(kind, "name", kind)
-    if isinstance(name, str) and name.upper() in _VALID_TAGS:
-        return name.upper()
-    raise DomainError(f"kind must be one of {_VALID_TAGS}, got {kind!r}")
+# The log hyperbolic weights: of L and K, pi / sinh(pi nu); of F,
+# 1 / cosh(pi nu / 2); of G, 1 / sinh(pi nu / 2).
+def _log_pi_csch(nu: float) -> float:
+    u = math.pi * nu
+    if nu >= _LOG_SPACE_NU:
+        return math.log(2.0 * math.pi) - u - math.log1p(-math.exp(-2.0 * u))
+    return math.log(math.pi / math.sinh(u))
 
 
-def _log_weight(tag: str, nu: float) -> float:
-    """log of the positive hyperbolic weight multiplying the component."""
-    if tag in ("L", "K"):
-        # pi / sinh(pi nu)
-        u = math.pi * nu
-        if nu >= _LOG_SPACE_NU:
-            return math.log(2.0 * math.pi) - u - math.log1p(-math.exp(-2.0 * u))
-        return math.log(math.pi / math.sinh(u))
+def _log_sech_half(nu: float) -> float:
     u = 0.5 * math.pi * nu
-    if tag == "F":
-        # 1 / cosh(pi nu / 2)
-        if nu >= _LOG_SPACE_NU:
-            return math.log(2.0) - u - math.log1p(math.exp(-2.0 * u))
-        return -math.log(math.cosh(u))
-    # 1 / sinh(pi nu / 2)
+    if nu >= _LOG_SPACE_NU:
+        return math.log(2.0) - u - math.log1p(math.exp(-2.0 * u))
+    return -math.log(math.cosh(u))
+
+
+def _log_csch_half(nu: float) -> float:
+    u = 0.5 * math.pi * nu
     if nu >= _LOG_SPACE_NU:
         return math.log(2.0) - u - math.log1p(-math.exp(-2.0 * u))
     return -math.log(math.sinh(u))
+
+
+class FunctionKind(enum.Enum):
+    """The four real functions and every fact that tells them apart.
+
+    The value is the letter. The attributes are the series `family`, the
+    component of the unit value taken (Im if `imaginary`, else Re, times
+    `sign`), `log_weight(nu)` and the `quarter` offset in m = (n +- 1/4) pi.
+    """
+
+    L = "L", "modified", False, 1.0, _log_pi_csch, 0.25
+    K = "K", "modified", True, -1.0, _log_pi_csch, -0.25
+    F = "F", "ordinary", False, 1.0, _log_sech_half, 0.25
+    G = "G", "ordinary", True, 1.0, _log_csch_half, -0.25
+
+    def __new__(cls, letter, family, imaginary, sign, log_weight, quarter):
+        member = object.__new__(cls)
+        member._value_ = letter
+        member.family = family
+        member.imaginary = imaginary
+        member.sign = sign
+        member.log_weight = log_weight
+        member.quarter = quarter
+        return member
+
+    @classmethod
+    def coerce(cls, kind: object) -> "FunctionKind":
+        """The member itself, or the member named by its letter in any case."""
+        if isinstance(kind, cls):
+            return kind
+        member = _KINDS.get(kind.upper()) if isinstance(kind, str) else None
+        if member is None:
+            raise DomainError(f"unknown function kind {kind!r}")
+        return member
+
+    def m_value(self, n: int) -> float:
+        """The quantized phase target m for the nth zero."""
+        return (n + self.quarter) * math.pi
+
+    def phase_target(self, n: int) -> float:
+        """Where Phi sits at the nth zero: (n + 1/2) pi for L, F; n pi else."""
+        return self.m_value(n) + math.pi / 4.0
+
+
+_KINDS = {kind.value: kind for kind in FunctionKind}
+
+
+def _component(kind: FunctionKind, nu: float,
+               x: float) -> tuple[float, float]:
+    # kind's component of the unit value of I or J (as eval_I_scaled and
+    # eval_J_scaled form it) and the log of the positive factor stripped.
+    unit_phase, log_magnitude = recip_gamma_prefactor(nu, x)
+    unit = unit_phase * series_sum(nu, x, kind.family)
+    part = unit.imag if kind.imaginary else unit.real
+    return kind.sign * part, log_magnitude
 
 
 def detection_value(kind: object, nu: float, x: float) -> float:
@@ -175,12 +229,7 @@ def detection_value(kind: object, nu: float, x: float) -> float:
     it shares every sign change with the function itself and stays order one
     at any nu.
     """
-    tag = _tag(kind)
-    if tag in ("L", "K"):
-        unit = eval_I_scaled(nu, x).unit_value
-        return unit.real if tag == "L" else -unit.imag
-    unit = eval_J_scaled(nu, x).unit_value
-    return unit.real if tag == "F" else unit.imag
+    return _component(FunctionKind.coerce(kind), nu, x)[0]
 
 
 def eval_function(kind: object, nu: float, x: float) -> ScaledReal:
@@ -190,22 +239,11 @@ def eval_function(kind: object, nu: float, x: float) -> ScaledReal:
     definitions degenerate at nu = 0 and the studied zeros all lie far
     above the guard.
     """
-    tag = _tag(kind)
+    kind = FunctionKind.coerce(kind)
     if not (NU_MIN <= nu < math.inf):
         raise DomainError(
             f"eval_function requires nu >= {NU_MIN!r}, got {nu!r}")
     if not (0.0 < x < math.inf):
         raise DomainError(f"eval_function requires finite x > 0, got {x!r}")
-    if tag in ("L", "K"):
-        scaled = eval_I_scaled(nu, x)
-    else:
-        scaled = eval_J_scaled(nu, x)
-    unit = scaled.unit_value
-    if tag == "L" or tag == "F":
-        component = unit.real
-    elif tag == "K":
-        component = -unit.imag
-    else:
-        component = unit.imag
-    log_scale = scaled.log_scale + _log_weight(tag, nu)
-    return ScaledReal(component, log_scale).normalized()
+    component, log_scale = _component(kind, nu, x)
+    return ScaledReal(component, log_scale + kind.log_weight(nu)).normalized()

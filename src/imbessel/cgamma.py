@@ -15,33 +15,22 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
 
-__all__ = ["StirlingCoefficients", "STIRLING_COEFFICIENTS", "log_gamma",
-           "recip_gamma_prefactor"]
+__all__ = ["STIRLING_COEFFICIENTS", "log_gamma", "recip_gamma_prefactor"]
 
-
-@dataclass(frozen=True)
-class StirlingCoefficients:
-    """The first six coefficients of the reciprocal-Gamma asymptotic series."""
-
-    gamma_k: tuple[Fraction, ...] = (
-        Fraction(1),
-        Fraction(-1, 12),
-        Fraction(1, 288),
-        Fraction(139, 51840),
-        Fraction(-571, 2488320),
-        Fraction(-163879, 209018880),
-    )
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(g) for g in self.gamma_k)
-
-
-STIRLING_COEFFICIENTS = StirlingCoefficients()
+# The first six coefficients gamma_k of the reciprocal-Gamma asymptotic
+# series, as exact rationals.
+STIRLING_COEFFICIENTS = (
+    Fraction(1),
+    Fraction(-1, 12),
+    Fraction(1, 288),
+    Fraction(139, 51840),
+    Fraction(-571, 2488320),
+    Fraction(-163879, 209018880),
+)
 
 # Bernoulli-number coefficients B_{2j} / (2j (2j-1)) of the log-gamma Stirling
 # series, j = 1..8. Exact rationals, converted once.

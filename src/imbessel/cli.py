@@ -7,8 +7,8 @@ three-correction asymptotic estimate for a pair of functions), and `coeffs`
 dumps the coefficient pipeline as JSON for audit.
 
 Output is a pure function of the parsed configuration: identical invocations
-produce byte-identical output. Exit codes: 0 success, 2 domain error,
-3 convergence or bracketing failure.
+produce byte-identical output. Exit codes: 0 success, 1 stdout closed early,
+2 domain error, 3 convergence or bracketing failure.
 """
 
 from __future__ import annotations
@@ -16,24 +16,28 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
 from .asymcoeff import coefficient_set, correction_coefficients
-from .besseval import eval_function
+from .besseval import FunctionKind, eval_function
 from .errors import ConvergenceError, DomainError, EnumerationError
-from .zerofinder import (FunctionKind, ZeroRecord, asymptotic_zero,
-                         enumerate_zeros, leading_xi, refine_zero)
+from .zerofinder import (ZeroRecord, asymptotic_zero, enumerate_zeros,
+                         leading_xi, refine_zero)
 
 __all__ = ["RunConfig", "main", "build_parser"]
 
 CSV_HEADER = "kind,n,x,zero,asymptotic,discrepancy"
+
+_KIND_CHOICES = [kind.value for kind in FunctionKind]
 
 _TABLE_KINDS = {1: (FunctionKind.L, FunctionKind.K),
                 2: (FunctionKind.F, FunctionKind.G)}
 _TABLE_NS = (1, 2, 3, 4, 5, 10, 20, 50)
 
 _EXIT_OK = 0
+_EXIT_BROKEN_PIPE = 1
 _EXIT_DOMAIN = 2
 _EXIT_CONVERGENCE = 3
 
@@ -245,14 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one function at (nu, x)")
-    p_eval.add_argument("--kind", required=True, choices=["L", "K", "F", "G"])
+    p_eval.add_argument("--kind", required=True, choices=_KIND_CHOICES)
     p_eval.add_argument("--nu", required=True, type=float)
     p_eval.add_argument("--x", type=float, default=1.0)
     p_eval.add_argument("--format", choices=["text", "json"], default="text")
 
     p_zeros = sub.add_parser("zeros", help="compute and refine nu-zeros")
-    p_zeros.add_argument("--kind", required=True,
-                         choices=["L", "K", "F", "G"])
+    p_zeros.add_argument("--kind", required=True, choices=_KIND_CHOICES)
     p_zeros.add_argument("--x", type=float, default=1.0)
     p_zeros.add_argument("--n", type=int, default=None)
     p_zeros.add_argument("--n-max", type=int, default=5)
@@ -269,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="text")
 
     p_coeffs = sub.add_parser("coeffs", help="dump the coefficient pipeline")
-    p_coeffs.add_argument("--kind", required=True,
-                          choices=["L", "K", "F", "G"])
+    p_coeffs.add_argument("--kind", required=True, choices=_KIND_CHOICES)
     p_coeffs.add_argument("--x", type=float, default=1.0)
     p_coeffs.add_argument("--n", type=int, default=None)
     p_coeffs.add_argument("--n-max", type=int, default=5)
@@ -299,7 +301,9 @@ def main(argv: list[str] | None = None) -> int:
         "coeffs": cmd_coeffs,
     }[config.command]
     try:
-        return command(config, sys.stdout)
+        code = command(config, sys.stdout)
+        sys.stdout.flush()
+        return code
     except (DomainError, ConvergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         if isinstance(exc, EnumerationError) and exc.partial:
@@ -307,6 +311,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"completed {len(exc.partial)} record(s) before the "
                 f"failure\n")
         return _exit_code_for(exc)
+    except BrokenPipeError:
+        # stdout closed early, at a write or at the flush above. Point it at
+        # devnull so the flush at interpreter exit cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

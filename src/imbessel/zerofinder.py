@@ -3,31 +3,33 @@
 For each function kind the zeros in nu at fixed x are quantized by the phase
 Phi(nu) = nu * log(lambda * nu) + pi/4 with lambda = 2/(e x): L and F vanish
 near Phi = (n + 1/2) pi, K and G near Phi = n pi. Writing m for (n + 1/4) pi
-or (n - 1/4) pi accordingly, the leading zero solves xi * log(lambda xi) = m,
-which the Lambert W function inverts as xi = m / W(lambda m); three further
-corrections B_k / m^{2k+1} from the coefficient pipeline complete the
-estimate. Refinement brackets the sign change of the unit-normalized function
-value around the estimate, guarded so the bracket can never leak to an
-adjacent zero, and closes in on it with Brent-Dekker's zeroin started from the
+or (n - 1/4) pi accordingly (FunctionKind.m_value; the kind, defined in
+besseval, also names the series family the coefficient set is built for),
+the leading zero solves xi * log(lambda xi) = m, which the Lambert W
+function inverts as xi = m / W(lambda m); three further corrections
+B_k / m^{2k+1} from the coefficient pipeline complete the estimate.
+Refinement brackets the sign change of the unit-normalized function value
+around the estimate, guarded so the bracket can never leak to an adjacent
+zero, and closes in on it with Brent-Dekker's zeroin started from the
 estimate. The coefficient set depends on x and the family only, so an
 enumeration builds it once for all its zeros.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .asymcoeff import coefficient_set, correction_coefficients
-from .besseval import ScaledReal, detection_value, eval_function
+from .besseval import (FunctionKind, ScaledReal, detection_value,
+                       eval_function)
 from .errors import (BracketingError, ConvergenceError, DomainError,
                      EnumerationError, UnreliableAsymptoticsError)
 from .lambertw import lambert_w0
 
-__all__ = ["FunctionKind", "ZeroEstimate", "ZeroRecord", "phase",
-           "leading_xi", "leading_zero", "asymptotic_zero", "refine_zero",
+__all__ = ["ZeroEstimate", "ZeroRecord", "phase", "leading_xi",
+           "leading_zero", "asymptotic_zero", "refine_zero",
            "enumerate_zeros"]
 
 # Maximum number of geometric bracket expansions before giving up.
@@ -36,41 +38,6 @@ _MAX_EXPANSIONS = 6
 _DEFAULT_WIDTH = 1e-12
 
 _EPS = math.ulp(1.0)
-
-
-class FunctionKind(enum.Enum):
-    """The four real functions; selects series family and phase offset."""
-
-    L = "L"
-    K = "K"
-    F = "F"
-    G = "G"
-
-    @classmethod
-    def coerce(cls, kind: object) -> "FunctionKind":
-        if isinstance(kind, cls):
-            return kind
-        if isinstance(kind, str) and kind.upper() in cls.__members__:
-            return cls[kind.upper()]
-        raise DomainError(f"unknown function kind {kind!r}")
-
-    @property
-    def family(self) -> str:
-        return "modified" if self in (FunctionKind.L, FunctionKind.K) \
-            else "ordinary"
-
-    @property
-    def quarter(self) -> float:
-        """Sign of the quarter-pi offset in m = (n +- 1/4) pi."""
-        return 0.25 if self in (FunctionKind.L, FunctionKind.F) else -0.25
-
-    def m_value(self, n: int) -> float:
-        """The quantized phase target m for the nth zero."""
-        return (n + self.quarter) * math.pi
-
-    def phase_target(self, n: int) -> float:
-        """Where Phi sits at the nth zero: (n + 1/2) pi for L, F; n pi else."""
-        return self.m_value(n) + math.pi / 4.0
 
 
 @dataclass(frozen=True)

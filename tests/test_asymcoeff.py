@@ -67,9 +67,9 @@ def test_c_polynomials_are_the_series_expansion_coefficients():
 
 def test_a_coefficients_reduce_to_series_coefficients_at_zero():
     assert a_coefficients(0.0, "modified") == \
-        list(STIRLING_COEFFICIENTS.as_floats())
+        [float(g) for g in STIRLING_COEFFICIENTS]
     assert a_coefficients(0.0, "ordinary") == \
-        list(STIRLING_COEFFICIENTS.as_floats())
+        [float(g) for g in STIRLING_COEFFICIENTS]
 
 
 def test_a_coefficients_first_order_values():
@@ -89,7 +89,7 @@ def test_a_coefficients_match_exact_convolution_at_large_order(reference):
     # series and the C-series through fifth order. Both sides are evaluated
     # at z = 1/(i nu), nu = 10^4, in exact rational arithmetic, so the only
     # deviation is the rounding in the stored a_k floats.
-    gamma = STIRLING_COEFFICIENTS.gamma_k
+    gamma = STIRLING_COEFFICIENTS
     C = _exact_c(Fraction(1, 4))
     exact_a = [sum(gamma[r] * C[k - r] for r in range(k + 1))
                for k in range(6)]

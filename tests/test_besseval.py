@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from imbessel import (NU_MIN, ConvergenceError, DomainError, ScaledComplex,
-                      ScaledReal, detection_value, eval_I_scaled,
-                      eval_J_scaled, eval_function, phase, series_sum)
+from imbessel import (NU_MIN, ConvergenceError, DomainError, FunctionKind,
+                      ScaledComplex, ScaledReal, detection_value,
+                      eval_I_scaled, eval_J_scaled, eval_function, phase,
+                      series_sum)
 
 from golden import NS, TABLE_ZERO, fnum
 
@@ -129,6 +130,32 @@ def test_log_magnitude_of_i_matches_reference_and_envelope(reference):
     assert abs(fnum(reference["log_envelope_nu5"]) - envelope) <= 1e-13
 
 
+def _mpmath_value(kind, nu, x):
+    # The definitions in the besseval module docstring, at 40 digits.
+    nu, x = mp.mpf(repr(nu)), mp.mpf(repr(x))
+    if kind in "LK":
+        value = mp.besseli(1j * nu, x) * mp.pi / mp.sinh(mp.pi * nu)
+        return value.real if kind == "L" else -value.imag
+    value = mp.besselj(1j * nu, x)
+    if kind == "F":
+        return value.real / mp.cosh(mp.pi * nu / 2)
+    return value.imag / mp.sinh(mp.pi * nu / 2)
+
+
+@pytest.mark.parametrize("nu,x", [
+    (nu, x) for x in (0.5, 1.0, 4.0)
+    for nu in (0.5, 3.0, 7.3, 19.5, 20.5, 45.0) if nu >= x])
+@pytest.mark.parametrize("kind", ["L", "K", "F", "G"])
+def test_eval_function_matches_mpmath(kind, nu, x):
+    # Both sides of the log-space switch of the weights (nu = 20), checking
+    # each kind's family, component, sign and weight against mpmath.
+    with mp.workdps(40):
+        want = _mpmath_value(kind, nu, x)
+        value = eval_function(kind, nu, x)
+        got = mp.mpf(value.mantissa) * mp.exp(value.log_scale)
+        assert abs(got - want) <= 1e-11 * abs(want), f"{got} vs {want}"
+
+
 def test_detection_value_crosses_zero_with_k():
     assert detection_value("K", 2.9620, 1.0) > 0.0
     assert detection_value("K", 2.9630, 1.0) < 0.0
@@ -150,8 +177,11 @@ def test_detection_value_shares_sign_with_the_function():
 
 
 def test_detection_value_rejects_unknown_kind():
-    with pytest.raises(DomainError):
-        detection_value("Z", 1.0, 1.0)
+    for bad in ("Z", 3, None):
+        with pytest.raises(DomainError):
+            detection_value(bad, 1.0, 1.0)
+    assert detection_value(FunctionKind.K, 2.5, 1.0) == \
+        detection_value("K", 2.5, 1.0) == detection_value("k", 2.5, 1.0)
 
 
 def test_eval_function_guards():
@@ -159,8 +189,11 @@ def test_eval_function_guards():
         eval_function("L", 1e-4, 1.0)
     with pytest.raises(DomainError):
         eval_function("L", 1.0, 0.0)
-    with pytest.raises(DomainError):
-        eval_function("Q", 1.0, 1.0)
+    for bad in ("Q", 3, None):
+        with pytest.raises(DomainError):
+            eval_function(bad, 1.0, 1.0)
+    assert eval_function(FunctionKind.K, 2.5, 1.0) == \
+        eval_function("K", 2.5, 1.0) == eval_function("k", 2.5, 1.0)
     assert NU_MIN == 1e-3
     assert eval_function("L", NU_MIN, 1.0).plain() is not None
 

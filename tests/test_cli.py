@@ -342,3 +342,21 @@ def test_python_dash_m_runs_the_cli_without_warnings(capsys):
     assert result.returncode == code == 0
     assert result.stderr == ""
     assert result.stdout == out
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""],
+                         ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    # Buffered, the write fails only at the flush; unbuffered, at the write.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "imbessel", "table"],
+                                stdout=write_end, stderr=subprocess.PIPE,
+                                env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == b""

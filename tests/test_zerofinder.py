@@ -23,10 +23,11 @@ def test_kind_coercion():
     assert FunctionKind.coerce("L") is FunctionKind.L
     assert FunctionKind.coerce("g") is FunctionKind.G
     assert FunctionKind.coerce(FunctionKind.F) is FunctionKind.F
-    with pytest.raises(DomainError):
-        FunctionKind.coerce("Z")
-    with pytest.raises(DomainError):
-        FunctionKind.coerce(3)
+    assert FunctionKind.coerce("K") is FunctionKind.coerce("k") is \
+        FunctionKind.K
+    for bad in ("Z", 3, None):
+        with pytest.raises(DomainError):
+            FunctionKind.coerce(bad)
 
 
 def test_kind_families_and_phase_offsets():
