@@ -10,8 +10,7 @@ to near machine accuracy with a bracketing root finder.
 
 from .asymcoeff import (A_coefficients, a_coefficients, c_polynomials,
                         coefficient_set, correction_coefficients)
-from .besseval import (NU_MIN, FunctionKind, ScaledComplex, ScaledReal,
-                       detection_value, eval_I_scaled, eval_J_scaled,
+from .besseval import (NU_MIN, FunctionKind, ScaledReal, detection_value,
                        eval_function, series_sum)
 from .cgamma import STIRLING_COEFFICIENTS, log_gamma, recip_gamma_prefactor
 from .cli import RunConfig, main
@@ -33,7 +32,6 @@ __all__ = [
     "NU_MIN",
     "RunConfig",
     "STIRLING_COEFFICIENTS",
-    "ScaledComplex",
     "ScaledReal",
     "UnreliableAsymptoticsError",
     "ZeroEstimate",
@@ -44,8 +42,6 @@ __all__ = [
     "correction_coefficients",
     "detection_value",
     "enumerate_zeros",
-    "eval_I_scaled",
-    "eval_J_scaled",
     "eval_function",
     "lambert_w0",
     "leading_xi",

@@ -81,11 +81,16 @@ def a_coefficients(chi: float, family: str) -> list[float]:
     C-series: a_k = sum_{r=0..k} gamma_r * C_{k-r}, with the C_k evaluated
     at chi for the modified family and at -chi for the ordinary one.
     """
+    return _c_and_a(chi, family)[1]
+
+
+def _c_and_a(chi: float, family: str) -> tuple[list[float], list[float]]:
+    # The C_k of the family's argument and the a_k built from them.
     if family not in _FAMILIES:
         raise DomainError(f"family must be one of {_FAMILIES}, got {family!r}")
-    arg = float(chi) if family == "modified" else -float(chi)
-    C = c_polynomials(arg)
-    return [sum(_GAMMA[r] * C[k - r] for r in range(k + 1)) for k in range(6)]
+    C = c_polynomials(float(chi) if family == "modified" else -float(chi))
+    return C, [sum(_GAMMA[r] * C[k - r] for r in range(k + 1))
+               for k in range(6)]
 
 
 def A_coefficients(a: list[float]) -> list[float]:
@@ -143,13 +148,12 @@ def coefficient_set(x: float, family: str) -> CoefficientSet:
     if not (x > 0.0):
         raise DomainError(f"coefficient_set requires x > 0, got {x!r}")
     chi = x * x / 4.0
-    a = a_coefficients(chi, family)
-    arg = chi if family == "modified" else -chi
+    C, a = _c_and_a(chi, family)
     return CoefficientSet(
         x=x,
         chi=chi,
         family=family,
-        C=tuple(c_polynomials(arg)),
+        C=tuple(C),
         a=tuple(a),
         A=tuple(A_coefficients(a)),
     )

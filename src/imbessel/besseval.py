@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from .cgamma import recip_gamma_prefactor
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["FunctionKind", "ScaledReal", "ScaledComplex", "series_sum",
-           "eval_I_scaled", "eval_J_scaled", "eval_function",
+__all__ = ["FunctionKind", "ScaledReal", "series_sum", "eval_function",
            "detection_value", "NU_MIN"]
 
 # Below this order the sinh factors of L, K, G degenerate; the studied zeros
@@ -81,20 +80,6 @@ class ScaledReal:
         return norm.mantissa * math.exp(norm.log_scale)
 
 
-@dataclass(frozen=True)
-class ScaledComplex:
-    """A complex value stored as unit_phase * series_sum * exp(log_scale)."""
-
-    unit_phase: complex
-    series_sum: complex
-    log_scale: float
-
-    @property
-    def unit_value(self) -> complex:
-        """The value with the positive factor exp(log_scale) stripped."""
-        return self.unit_phase * self.series_sum
-
-
 def series_sum(nu: float, x: float, family: str,
                tol: float = _DEFAULT_TOL) -> complex:
     """Sum the ascending series of I (modified) or J (ordinary) at order i*nu.
@@ -128,20 +113,6 @@ def series_sum(nu: float, x: float, family: str,
             return total
     raise ConvergenceError(
         f"series did not converge in {_MAX_TERMS} terms (nu={nu!r}, x={x!r})")
-
-
-def eval_I_scaled(nu: float, x: float) -> ScaledComplex:
-    """I_{i nu}(x) in scaled form; the conjugate gives I_{-i nu}(x)."""
-    unit_phase, log_magnitude = recip_gamma_prefactor(nu, x)
-    return ScaledComplex(unit_phase, series_sum(nu, x, "modified"),
-                         log_magnitude)
-
-
-def eval_J_scaled(nu: float, x: float) -> ScaledComplex:
-    """J_{i nu}(x) in scaled form; the conjugate gives J_{-i nu}(x)."""
-    unit_phase, log_magnitude = recip_gamma_prefactor(nu, x)
-    return ScaledComplex(unit_phase, series_sum(nu, x, "ordinary"),
-                         log_magnitude)
 
 
 # The log hyperbolic weights: of L and K, pi / sinh(pi nu); of F,
@@ -214,8 +185,8 @@ _KINDS = {kind.value: kind for kind in FunctionKind}
 
 def _component(kind: FunctionKind, nu: float,
                x: float) -> tuple[float, float]:
-    # kind's component of the unit value of I or J (as eval_I_scaled and
-    # eval_J_scaled form it) and the log of the positive factor stripped.
+    # kind's component of the unit value of I or J, unit_phase * series_sum,
+    # and the log of the positive factor stripped.
     unit_phase, log_magnitude = recip_gamma_prefactor(nu, x)
     unit = unit_phase * series_sum(nu, x, kind.family)
     part = unit.imag if kind.imaginary else unit.real

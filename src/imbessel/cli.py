@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from .asymcoeff import coefficient_set, correction_coefficients
 from .besseval import FunctionKind, eval_function
 from .errors import ConvergenceError, DomainError, EnumerationError
-from .zerofinder import (ZeroRecord, asymptotic_zero, enumerate_zeros,
-                         leading_xi, refine_zero)
+from .zerofinder import (ZeroRecord, _estimator, asymptotic_zero,
+                         enumerate_zeros, leading_xi, refine_zero)
 
 __all__ = ["RunConfig", "main", "build_parser"]
 
@@ -158,11 +158,15 @@ def cmd_table(config: RunConfig, out) -> int:
     cells: dict[tuple[str, int], ZeroRecord | Exception] = {}
     code = _EXIT_OK
     for kind in kinds:
+        # One coefficient set per kind; a cell that cannot build it records
+        # the error, and the next cell tries again.
+        estimate_of = None
         for n in _TABLE_NS:
             try:
-                estimate = asymptotic_zero(kind, n, config.x, 3)
+                if estimate_of is None:
+                    estimate_of = _estimator(kind, config.x, 3)
                 cells[kind.value, n] = refine_zero(kind, n, config.x,
-                                                   estimate, config.tol)
+                                                   estimate_of(n), config.tol)
             except (DomainError, ConvergenceError) as exc:
                 cells[kind.value, n] = exc
                 code = max(code, _exit_code_for(exc))

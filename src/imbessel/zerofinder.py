@@ -11,8 +11,10 @@ B_k / m^{2k+1} from the coefficient pipeline complete the estimate.
 Refinement brackets the sign change of the unit-normalized function value
 around the estimate, guarded so the bracket can never leak to an adjacent
 zero, and closes in on it with Brent-Dekker's zeroin started from the
-estimate. The coefficient set depends on x and the family only, so an
-enumeration builds it once for all its zeros.
+estimate. The sign of that value at the estimate says on which side of it
+the zero lies, so only the bracket end across the zero is evaluated. The
+coefficient set depends on x and the family only, so an enumeration builds
+it once for all its zeros.
 """
 
 from __future__ import annotations
@@ -68,7 +70,11 @@ class ZeroRecord:
 
     bracket is the sign-changing interval the solver started from, so the
     function values at its ends measure the local scale the final residual is
-    judged against. partial carries the estimate's four cumulative sums.
+    judged against. It is the half bracket between the estimate and the end
+    across the zero, or the whole bracket around the estimate when the
+    estimate is the zero to rounding or both ends had to be evaluated; the
+    refined zero lies strictly inside it. partial carries the estimate's four
+    cumulative sums.
     """
 
     kind: FunctionKind
@@ -121,16 +127,19 @@ def asymptotic_zero(kind: object, n: int, x: float,
     kind = FunctionKind.coerce(kind)
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    _check_estimate_args(x, order)
-    return _estimate(kind, n, x, order,
-                     list(coefficient_set(x, kind.family).A))
+    return _estimator(kind, x, order)(n)
 
 
-def _check_estimate_args(x: float, order: int) -> None:
+def _estimator(kind: FunctionKind, x: float,
+               order: int) -> Callable[[int], ZeroEstimate]:
+    # Validate x and order and build the coefficient set once; the returned
+    # function gives the estimate of the nth zero from it.
     if not (x > 0.0):
         raise DomainError(f"asymptotic_zero requires x > 0, got {x!r}")
     if order not in (0, 1, 2, 3):
         raise DomainError(f"order must be in 0..3, got {order!r}")
+    A = list(coefficient_set(x, kind.family).A)
+    return lambda n: _estimate(kind, n, x, order, A)
 
 
 def _estimate(kind: FunctionKind, n: int, x: float, order: int,
@@ -228,16 +237,53 @@ def _brent(g: Callable[[float], float], a: float, b: float, fa: float,
             d = e = b - a
 
 
+def _sign_above(kind: FunctionKind, n: int) -> float:
+    # The sign of the detection value just above the nth zero: consecutive
+    # zeros alternate it, and K's component enters with sign -1. The tests
+    # check it for every kind at x <= 8, n <= 500; a wrong prediction costs
+    # one evaluation, not a wrong zero.
+    return -kind.sign * (-1) ** n
+
+
+def _straddles(g_a: float, g_b: float) -> bool:
+    # g_a and g_b are nonzero and differ in sign.
+    return g_a != 0.0 and g_b != 0.0 and (g_a < 0.0) != (g_b < 0.0)
+
+
+def _half_bracket(g: Callable[[float], float], lo: float, hi: float,
+                  nu_hat: float, g_hat: float, sign_above: float,
+                  tol: float) -> tuple[float, tuple[float, float]] | None:
+    # Solve on the half of [lo, hi] that the sign of g_hat puts across the
+    # zero; (nu_refined, bracket), or None when the predicted end shows no
+    # sign change or the far end does not confirm a zero at the estimate.
+    end, far = (lo, hi) if (g_hat > 0.0) == (sign_above > 0.0) else (hi, lo)
+    g_end = g(end)
+    if not _straddles(g_end, g_hat):
+        return None
+    nu_refined = _brent(g, end, nu_hat, g_end, g_hat, tol)
+    if nu_refined != nu_hat:
+        return nu_refined, (min(end, nu_hat), max(end, nu_hat))
+    # The zero is the estimate to rounding, an end of the half bracket; the
+    # far end puts it strictly inside one whose ends change sign.
+    if not _straddles(g_end, g(far)):
+        return None
+    return nu_refined, (lo, hi)
+
+
 def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
                 tol: float = _DEFAULT_WIDTH) -> ZeroRecord:
     """Refine an asymptotic estimate to a machine-accurate zero.
 
-    Brackets the unit-normalized detection value on [nu - h, nu + h] with
-    h seeded by the last correction term, expanding geometrically inside the
-    phase window when needed; the window is solved for only when a bracket
-    end may lie outside it. A Brent-Dekker solver then starts from the
-    estimate on the half of the bracket that changes sign and runs until
-    its bracket is at most `tol` (plus a few ulps) wide. Raises
+    Brackets the unit-normalized detection value g around the estimate
+    nu_hat, with the half-width h seeded by the last correction term and
+    clamped to the phase window. Just above the nth zero g has the sign
+    -kind.sign * (-1)**n, so g(nu_hat) tells which of nu_hat -+ h lies
+    across the zero, and only that end is evaluated. A Brent-Dekker solver
+    then starts from the estimate on that half bracket and runs until its
+    bracket is at most `tol` (plus a few ulps) wide. When the predicted end
+    shows no sign change, both ends are evaluated instead, expanding the
+    bracket geometrically inside the phase window when needed; the window
+    is solved for only when a bracket end may lie outside it. Raises
     BracketingError when no sign change exists inside the window, which
     signals an invalid estimate.
     """
@@ -275,37 +321,44 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
             f"estimate nu = {nu_hat!r} lies outside the phase window "
             f"({window[0]!r}, {window[1]!r}) for {kind.value} n={n} "
             f"x={x!r}", (lo, hi))
-    g_lo = g(lo)
-    g_hi = g(hi)
-    for _ in range(_MAX_EXPANSIONS):
-        if g_lo == 0.0 or g_hi == 0.0 or (g_lo < 0.0) != (g_hi < 0.0):
-            break
-        h *= 2.0
-        lo, hi = clamp(h)
+    g_hat = g(nu_hat)
+    found = None
+    if lo < nu_hat < hi and g_hat != 0.0:
+        found = _half_bracket(g, lo, hi, nu_hat, g_hat, _sign_above(kind, n),
+                              tol)
+    if found is not None:
+        nu_refined, bracket = found
+    else:
+        # The two-sided stage: both ends, expanded until they change sign.
         g_lo = g(lo)
         g_hi = g(hi)
-    else:
-        if g_lo != 0.0 and g_hi != 0.0 and (g_lo < 0.0) == (g_hi < 0.0):
-            raise BracketingError(
-                f"no sign change of the detection value for "
-                f"{kind.value} n={n} x={x!r}", (lo, hi))
-
-    bracket = (lo, hi)
-
-    # An exact zero at an endpoint needs no solver; accept it directly.
-    if g_lo == 0.0 or g_hi == 0.0:
-        nu_refined = lo if g_lo == 0.0 else hi
-        bracket = (nu_refined - tol, nu_refined + tol)
-    elif lo < nu_hat < hi:
-        # The estimate is the best first iterate; _brent returns it at once
-        # if g vanishes there exactly.
-        g_hat = g(nu_hat)
-        if (g_lo < 0.0) != (g_hat < 0.0):
-            nu_refined = _brent(g, lo, nu_hat, g_lo, g_hat, tol)
+        for _ in range(_MAX_EXPANSIONS):
+            if g_lo == 0.0 or g_hi == 0.0 or (g_lo < 0.0) != (g_hi < 0.0):
+                break
+            h *= 2.0
+            lo, hi = clamp(h)
+            g_lo = g(lo)
+            g_hi = g(hi)
         else:
-            nu_refined = _brent(g, hi, nu_hat, g_hi, g_hat, tol)
-    else:
-        nu_refined = _brent(g, lo, hi, g_lo, g_hi, tol)
+            if g_lo != 0.0 and g_hi != 0.0 and (g_lo < 0.0) == (g_hi < 0.0):
+                raise BracketingError(
+                    f"no sign change of the detection value for "
+                    f"{kind.value} n={n} x={x!r}", (lo, hi))
+
+        bracket = (lo, hi)
+        # An exact zero at an endpoint needs no solver; accept it directly.
+        if g_lo == 0.0 or g_hi == 0.0:
+            nu_refined = lo if g_lo == 0.0 else hi
+            bracket = (nu_refined - tol, nu_refined + tol)
+        elif lo < nu_hat < hi:
+            # The estimate is the best first iterate; _brent returns it at
+            # once if g vanishes there exactly.
+            if (g_lo < 0.0) != (g_hat < 0.0):
+                nu_refined = _brent(g, lo, nu_hat, g_lo, g_hat, tol)
+            else:
+                nu_refined = _brent(g, hi, nu_hat, g_hi, g_hat, tol)
+        else:
+            nu_refined = _brent(g, lo, hi, g_lo, g_hi, tol)
 
     nu_asymptotic = estimate.nu
     return ZeroRecord(
@@ -338,9 +391,8 @@ def enumerate_zeros(kind: object, x: float, n_max: int,
     for n in range(1, n_max + 1):
         try:
             if n == 1:
-                _check_estimate_args(x, order)
-                A = list(coefficient_set(x, kind.family).A)
-            estimate = _estimate(kind, n, x, order, A)
+                estimate_of = _estimator(kind, x, order)
+            estimate = estimate_of(n)
             record = refine_zero(kind, n, x, estimate, tol)
             if records and record.nu_refined <= records[-1].nu_refined:
                 raise ConvergenceError(

@@ -14,6 +14,8 @@ from imbessel import (STIRLING_COEFFICIENTS, A_coefficients, DomainError,
                       c_polynomials, coefficient_set,
                       correction_coefficients, leading_xi)
 
+import imbessel.asymcoeff as asymcoeff
+
 from golden import NS, dp6, fnum
 
 GRID_X = (0.5, 1.0, 2.0)
@@ -212,6 +214,20 @@ def test_coefficient_set_invariants():
         assert coeffs.chi == (0.5 * x) ** 2
         sign = 1.0 if family == "modified" else -1.0
         assert list(coeffs.C) == c_polynomials(sign * coeffs.chi)
+
+
+def test_coefficient_set_evaluates_the_c_polynomials_once(monkeypatch):
+    calls = []
+
+    def counting(chi):
+        calls.append(chi)
+        return c_polynomials(chi)
+
+    monkeypatch.setattr(asymcoeff, "c_polynomials", counting)
+    coeffs = coefficient_set(1.0, "ordinary")
+    assert calls == [-0.25]
+    assert list(coeffs.C) == c_polynomials(-0.25)
+    assert list(coeffs.a) == a_coefficients(0.25, "ordinary")
 
 
 def test_coefficient_set_matches_reference_values(reference):

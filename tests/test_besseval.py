@@ -11,9 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from imbessel import (NU_MIN, ConvergenceError, DomainError, FunctionKind,
-                      ScaledComplex, ScaledReal, detection_value,
-                      eval_I_scaled, eval_J_scaled, eval_function, phase,
-                      series_sum)
+                      ScaledReal, detection_value, eval_function, phase,
+                      recip_gamma_prefactor, series_sum)
 
 from golden import NS, TABLE_ZERO, fnum
 
@@ -51,9 +50,19 @@ def test_plain_edge_cases():
     assert ScaledReal(1.0, 700.5).plain() is None
 
 
+def _scaled(nu, x, family):
+    # I (modified) or J (ordinary) at order i nu as unit_phase * series_sum
+    # and the log of the positive factor exp(log_scale) stripped from it.
+    unit_phase, log_scale = recip_gamma_prefactor(nu, x)
+    return unit_phase * series_sum(nu, x, family), log_scale
+
+
 def test_unit_value_multiplies_phase_and_series():
-    value = ScaledComplex(1j, 2.0 - 1.0j, 5.0)
-    assert value.unit_value == 1j * (2.0 - 1.0j)
+    # The detection value is the kind's component of unit_phase * series_sum.
+    for kind in FunctionKind:
+        unit, _ = _scaled(5.0, 1.0, kind.family)
+        part = unit.imag if kind.imaginary else unit.real
+        assert detection_value(kind, 5.0, 1.0) == kind.sign * part, kind
 
 
 @pytest.mark.parametrize("family", ["modified", "ordinary"])
@@ -114,15 +123,15 @@ def test_series_convergence_failure_is_reachable_for_the_ordinary_family():
 @pytest.mark.parametrize("nu", [2.962549, 5.0])
 def test_scaled_i_matches_multiprecision(nu):
     mp.mp.dps = 30
-    scaled = eval_I_scaled(nu, 1.0)
-    got = scaled.unit_value * math.exp(scaled.log_scale)
+    unit, log_scale = _scaled(nu, 1.0, "modified")
+    got = unit * math.exp(log_scale)
     want = complex(mp.besseli(1j * mp.mpf(repr(nu)), 1))
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_log_magnitude_of_i_matches_reference_and_envelope(reference):
-    scaled = eval_I_scaled(5.0, 1.0)
-    log_abs = math.log(abs(scaled.unit_value)) + scaled.log_scale
+    unit, log_scale = _scaled(5.0, 1.0, "modified")
+    log_abs = math.log(abs(unit)) + log_scale
     assert abs(log_abs - fnum(reference["log_abs_I_nu5_x1"])) <= 1e-13
     envelope = 0.5 * math.pi * 5.0 - 0.5 * math.log(2.0 * math.pi * 5.0)
     assert abs(log_abs - fnum(reference["log_envelope_nu5"])) <= \
@@ -264,9 +273,9 @@ def test_ordinary_family_values_are_plain_sized():
 def test_scaled_j_is_bounded_at_large_order():
     # |J_{i nu}(x)| grows like e^{pi nu / 2}; the scaled form keeps the
     # unit part order one while log_scale absorbs the growth.
-    scaled = eval_J_scaled(40.0, 1.0)
-    assert 1e-3 <= abs(scaled.unit_value) <= 1e3
-    assert scaled.log_scale > 40.0
+    unit, log_scale = _scaled(40.0, 1.0, "ordinary")
+    assert 1e-3 <= abs(unit) <= 1e3
+    assert log_scale > 40.0
 
 
 def test_zeros_interlace_along_nu(records_x1):

@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import imbessel.cli as cli
+import imbessel.zerofinder as zerofinder
 from imbessel import (BracketingError, EnumerationError, RunConfig,
                       coefficient_set, correction_coefficients, leading_xi,
                       main)
@@ -133,6 +134,28 @@ def test_table_json_rows_carry_the_record_keys(capsys):
     for kind in ("L", "K"):
         for i, n in enumerate(NS):
             assert dp6(zero_by_key[kind, n]) == dp6(TABLE_ZERO[kind][i])
+
+
+def test_table_builds_one_coefficient_set_per_kind(capsys, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return coefficient_set(*args)
+
+    monkeypatch.setattr(zerofinder, "coefficient_set", counting)
+    code, _, _ = _run(capsys, ["table", "--table", "2", "--x", "2.0"])
+    assert code == 0
+    assert calls == [(2.0, "ordinary"), (2.0, "ordinary")]
+
+
+def test_table_reports_an_invalid_x_in_every_cell(capsys):
+    code, out, _ = _run(capsys, ["table", "--x", "-1", "--format", "json"])
+    assert code == 2
+    payload = json.loads(out)
+    assert len(payload) == 2 * len(NS)
+    assert {entry["error"] for entry in payload} == \
+        {"asymptotic_zero requires x > 0, got -1.0"}
 
 
 def test_zeros_text_header_and_refined_column(capsys):

@@ -288,6 +288,80 @@ def test_refine_zero_starts_the_solver_at_the_estimate(kind, x, monkeypatch):
     assert estimate.partial[3] in [nu for _, nu, _ in calls]
 
 
+_SWEEP_XS = (0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+def _count_detection_calls(monkeypatch) -> list:
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return detection_value(*args)
+
+    monkeypatch.setattr(zerofinder, "detection_value", counting)
+    return calls
+
+
+def _refine_to_500(kind, x, calls):
+    # (record, detection evaluations) for each n = 1..500.
+    rows = []
+    for n in range(1, 501):
+        estimate = asymptotic_zero(kind, n, x)
+        calls.clear()
+        rows.append((refine_zero(kind, n, x, estimate), len(calls)))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def refined_to_500():
+    """(record, detection evaluations) rows for every kind and x swept."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _count_detection_calls(patch)
+        return {(kind, x): _refine_to_500(kind, x, calls)
+                for kind in FunctionKind for x in _SWEEP_XS}
+
+
+def test_the_bracket_end_above_each_zero_has_the_predicted_sign(
+        refined_to_500):
+    for (kind, x), rows in refined_to_500.items():
+        for record, _ in rows:
+            lo, hi = record.bracket
+            where = f"{kind.value} n={record.n} x={x}"
+            assert lo < record.nu_refined < hi, where
+            above = detection_value(kind, hi, x)
+            assert above * (-kind.sign * (-1) ** record.n) > 0.0, where
+            assert above * detection_value(kind, lo, x) < 0.0, where
+
+
+def test_refinement_averages_at_most_3_5_detection_evaluations(
+        refined_to_500):
+    counts = [count for (_, x), rows in refined_to_500.items() if x <= 4.0
+              for _, count in rows]
+    assert len(counts) == 8000
+    assert sum(counts) / len(counts) <= 3.5
+
+
+def test_a_wrong_side_prediction_changes_no_zero_and_costs_one_evaluation(
+        refined_to_500, monkeypatch):
+    # Predicting the wrong side wastes the evaluation of that end, then the
+    # two-sided stage evaluates both ends; the predicted side skipped the
+    # far end unless the estimate itself was the zero.
+    sign_above = zerofinder._sign_above
+    monkeypatch.setattr(zerofinder, "_sign_above",
+                        lambda kind, n: -sign_above(kind, n))
+    calls = _count_detection_calls(monkeypatch)
+    for (kind, x), rows in refined_to_500.items():
+        if x > 4.0:
+            continue
+        for (record, count), (wrong, wrong_count) in zip(
+                rows, _refine_to_500(kind, x, calls)):
+            where = f"{kind.value} n={record.n} x={x}"
+            assert wrong.nu_refined == record.nu_refined, where
+            assert wrong.residual == record.residual, where
+            far_skipped = record.partial[3] in record.bracket
+            assert wrong_count == count + far_skipped + 1, where
+
+
 def test_brent_returns_an_interior_iterate_where_g_is_exactly_zero():
     # The first interior iterate reports an exact zero; the solver must stop
     # there instead of shrinking the bracket further.
