@@ -14,6 +14,7 @@ is built once per (x, family) and reused for every zero index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .cgamma import STIRLING_COEFFICIENTS
@@ -143,17 +144,23 @@ def correction_coefficients(A: list[float], xi: float,
 
 
 def coefficient_set(x: float, family: str) -> CoefficientSet:
-    """Build the full n-independent coefficient set for (x, family)."""
+    """Build the full n-independent coefficient set for (x, family).
+
+    Raises DomainError for x <= 0 and for an x so large that a coefficient
+    overflows a float.
+    """
     x = float(x)
     if not (x > 0.0):
         raise DomainError(f"coefficient_set requires x > 0, got {x!r}")
     chi = x * x / 4.0
-    C, a = _c_and_a(chi, family)
-    return CoefficientSet(
-        x=x,
-        chi=chi,
-        family=family,
-        C=tuple(C),
-        a=tuple(a),
-        A=tuple(A_coefficients(a)),
-    )
+    try:
+        C, a = _c_and_a(chi, family)
+        A = A_coefficients(a)
+        finite = all(map(math.isfinite, C + a + A))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(
+            f"coefficient_set cannot form finite coefficients at x = {x!r}")
+    return CoefficientSet(x=x, chi=chi, family=family, C=tuple(C),
+                          a=tuple(a), A=tuple(A))

@@ -24,6 +24,7 @@ large nu.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -88,7 +89,8 @@ def series_sum(nu: float, x: float, family: str,
     term-ratio recurrence and truncated when the current term's modulus falls
     to tol times the partial sum's. Raises DomainError for non-finite nu or
     x, and ConvergenceError past 500 terms, which cannot happen for x <= 50
-    at the default tolerance.
+    at the default tolerance, or when the sum overflows to a non-finite
+    value.
     """
     if not (0.0 < x < math.inf):
         raise DomainError(f"series_sum requires finite x > 0, got {x!r}")
@@ -110,6 +112,9 @@ def series_sum(nu: float, x: float, family: str,
         term *= z / ((k + 1) * complex(k + 1, nu))
         total += term
         if abs(term) <= tol * abs(total):
+            if not cmath.isfinite(total):
+                raise ConvergenceError(
+                    f"series sum is not finite (nu={nu!r}, x={x!r})")
             return total
     raise ConvergenceError(
         f"series did not converge in {_MAX_TERMS} terms (nu={nu!r}, x={x!r})")

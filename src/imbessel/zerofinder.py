@@ -12,9 +12,10 @@ Refinement brackets the sign change of the unit-normalized function value
 around the estimate, guarded so the bracket can never leak to an adjacent
 zero, and closes in on it with Brent-Dekker's zeroin started from the
 estimate. The sign of that value at the estimate says on which side of it
-the zero lies, so only the bracket end across the zero is evaluated. The
-coefficient set depends on x and the family only, so an enumeration builds
-it once for all its zeros.
+the zero lies, so only the bracket end across the zero is evaluated; far
+out it is first tried one solver stopping step away, which proves the zero
+in two evaluations. The coefficient set depends on x and the family only,
+so an enumeration builds it once for all its zeros.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ _MAX_EXPANSIONS = 6
 _DEFAULT_WIDTH = 1e-12
 
 _EPS = math.ulp(1.0)
+
+# The probe is tried when the last correction is below this many solver
+# stopping steps: the largest factor that wastes no probe at x = 1, n <= 50.
+_PROBE_STEPS = 100.0
 
 
 @dataclass(frozen=True)
@@ -73,8 +78,9 @@ class ZeroRecord:
     judged against. It is the half bracket between the estimate and the end
     across the zero, or the whole bracket around the estimate when the
     estimate is the zero to rounding or both ends had to be evaluated; the
-    refined zero lies strictly inside it. partial carries the estimate's four
-    cumulative sums.
+    refined zero lies strictly inside it; where the probe stage confirmed
+    the zero it is one or two solver stopping steps wide, about 1e-12.
+    partial carries the estimate's four cumulative sums.
     """
 
     kind: FunctionKind
@@ -255,12 +261,15 @@ def _half_bracket(g: Callable[[float], float], lo: float, hi: float,
                   tol: float) -> tuple[float, tuple[float, float]] | None:
     # Solve on the half of [lo, hi] that the sign of g_hat puts across the
     # zero; (nu_refined, bracket), or None when the predicted end shows no
-    # sign change or the far end does not confirm a zero at the estimate.
+    # sign change, the zero is that end to rounding, or the far end does not
+    # confirm a zero at the estimate.
     end, far = (lo, hi) if (g_hat > 0.0) == (sign_above > 0.0) else (hi, lo)
     g_end = g(end)
     if not _straddles(g_end, g_hat):
         return None
     nu_refined = _brent(g, end, nu_hat, g_end, g_hat, tol)
+    if nu_refined == end:  # only in a probe bracket; leave it to a wider one
+        return None
     if nu_refined != nu_hat:
         return nu_refined, (min(end, nu_hat), max(end, nu_hat))
     # The zero is the estimate to rounding, an end of the half bracket; the
@@ -280,12 +289,15 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
     -kind.sign * (-1)**n, so g(nu_hat) tells which of nu_hat -+ h lies
     across the zero, and only that end is evaluated. A Brent-Dekker solver
     then starts from the estimate on that half bracket and runs until its
-    bracket is at most `tol` (plus a few ulps) wide. When the predicted end
-    shows no sign change, both ends are evaluated instead, expanding the
-    bracket geometrically inside the phase window when needed; the window
-    is solved for only when a bracket end may lie outside it. Raises
-    BracketingError when no sign change exists inside the window, which
-    signals an invalid estimate.
+    bracket is at most `tol` (plus a few ulps) wide. When the last
+    correction is below _PROBE_STEPS solver stopping steps, that end is
+    first tried one such step from the estimate, where a sign change stops
+    the solver before its first step. When the predicted end shows no sign
+    change, both ends are evaluated instead, expanding the bracket
+    geometrically inside the phase window when needed; the window is solved
+    for only when a bracket end may lie outside it. Raises BracketingError
+    when no sign change exists inside the window, which signals an invalid
+    estimate.
     """
     kind = FunctionKind.coerce(kind)
     if (estimate.kind is not kind or estimate.n != n
@@ -324,8 +336,16 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
     g_hat = g(nu_hat)
     found = None
     if lo < nu_hat < hi and g_hat != 0.0:
-        found = _half_bracket(g, lo, hi, nu_hat, g_hat, _sign_above(kind, n),
-                              tol)
+        sign_above = _sign_above(kind, n)
+        # The solver's stopping step: a sign change there ends _brent at once.
+        step = 2.0 * _EPS * abs(nu_hat) + 0.5 * tol
+        if (abs(estimate.partial[3] - estimate.partial[2])
+                < _PROBE_STEPS * step
+                and lo <= nu_hat - step and nu_hat + step <= hi):
+            found = _half_bracket(g, nu_hat - step, nu_hat + step, nu_hat,
+                                  g_hat, sign_above, tol)
+        if found is None:
+            found = _half_bracket(g, lo, hi, nu_hat, g_hat, sign_above, tol)
     if found is not None:
         nu_refined, bracket = found
     else:

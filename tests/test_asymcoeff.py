@@ -216,6 +216,14 @@ def test_coefficient_set_invariants():
         assert list(coeffs.C) == c_polynomials(sign * coeffs.chi)
 
 
+@pytest.mark.parametrize("x", [1e100, math.inf])
+@pytest.mark.parametrize("family", ["modified", "ordinary"])
+def test_coefficient_set_rejects_an_x_whose_coefficients_overflow(x, family):
+    # 1e100 overflows chi ** 2 inside c_polynomials; inf gives inf - inf.
+    with pytest.raises(DomainError, match="cannot form finite coefficients"):
+        coefficient_set(x, family)
+
+
 def test_coefficient_set_evaluates_the_c_polynomials_once(monkeypatch):
     calls = []
 

@@ -120,6 +120,17 @@ def test_series_convergence_failure_is_reachable_for_the_ordinary_family():
     assert abs(series_sum(1.0, 670.0, "modified")) > 1e288
 
 
+@pytest.mark.parametrize("family", ["modified", "ordinary"])
+def test_a_series_that_overflows_raises_instead_of_returning_nan(family):
+    # At x = 1e4 the terms pass the float range long before they shrink, so
+    # the sum reaches inf + nan j; it must not be returned.
+    with pytest.raises(ConvergenceError, match="not finite"):
+        series_sum(5.0, 1e4, family)
+    kind = "K" if family == "modified" else "F"
+    with pytest.raises(ConvergenceError, match="not finite"):
+        eval_function(kind, 5.0, 1e4)
+
+
 @pytest.mark.parametrize("nu", [2.962549, 5.0])
 def test_scaled_i_matches_multiprecision(nu):
     mp.mp.dps = 30

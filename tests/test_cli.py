@@ -288,6 +288,39 @@ def test_eval_non_finite_nu_exits_2(capsys):
     assert err == "error: eval_function requires nu >= 0.001, got inf\n"
 
 
+@pytest.mark.parametrize("kind", ["K", "F"])
+def test_eval_of_an_overflowing_series_exits_3(capsys, kind):
+    code, out, err = _run(capsys, ["eval", "--kind", kind, "--nu", "5",
+                                   "--x", "1e4"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: series sum is not finite (nu=5.0, x=10000.0)\n"
+
+
+_OVERFLOW = "coefficient_set cannot form finite coefficients at x = 1e+100"
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    (["zeros", "--kind", "K", "--x", "1e100"],
+     "error: enumeration of K zeros aborted at n = 1: "),
+    (["coeffs", "--kind", "K", "--x", "1e100"], "error: "),
+])
+def test_an_x_too_large_for_the_coefficients_exits_2(capsys, argv, prefix):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == prefix + _OVERFLOW + "\n"
+
+
+def test_a_table_at_an_x_too_large_for_the_coefficients_exits_2(capsys):
+    code, out, _ = _run(capsys, ["table", "--x", "1e100", "--format",
+                                 "json"])
+    assert code == 2
+    payload = json.loads(out)
+    assert len(payload) == 2 * len(NS)
+    assert {entry["error"] for entry in payload} == {_OVERFLOW}
+
+
 def test_zeros_outside_validity_exits_2(capsys):
     code, out, err = _run(capsys, ["zeros", "--kind", "L", "--x", "0.05"])
     assert code == 2

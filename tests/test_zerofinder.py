@@ -333,33 +333,96 @@ def test_the_bracket_end_above_each_zero_has_the_predicted_sign(
             assert above * detection_value(kind, lo, x) < 0.0, where
 
 
-def test_refinement_averages_at_most_3_5_detection_evaluations(
+def test_refinement_averages_at_most_2_8_detection_evaluations(
         refined_to_500):
     counts = [count for (_, x), rows in refined_to_500.items() if x <= 4.0
               for _, count in rows]
     assert len(counts) == 8000
-    assert sum(counts) / len(counts) <= 3.5
+    assert sum(counts) / len(counts) <= 2.8
+
+
+def test_the_probe_costs_nothing_where_the_estimate_is_coarse(
+        refined_to_500):
+    # At x = 1, n <= 50 the last correction is too large for the probe, so
+    # the mean stays at the 4.40 evaluations of the +-h stage alone.
+    counts = [count for kind in FunctionKind
+              for record, count in refined_to_500[kind, 1.0]
+              if record.n <= 50]
+    assert len(counts) == 200
+    assert sum(counts) <= 880
+
+
+def test_the_probe_confirms_a_far_out_zero_in_two_evaluations(monkeypatch):
+    calls = _count_detection_calls(monkeypatch)
+    for kind in FunctionKind:
+        estimate = asymptotic_zero(kind, 400, 1.0)
+        calls.clear()
+        record = refine_zero(kind, 400, 1.0, estimate)
+        lo, hi = record.bracket
+        assert len(calls) == 2, kind
+        assert hi - lo <= 1e-12, kind
+        assert lo < record.nu_refined < hi, kind
+
+
+def test_a_zero_at_the_probe_end_is_left_to_the_wider_bracket(monkeypatch):
+    # With a looser probe threshold, K n=125 at x = 4 is probed, and the
+    # solver's secant point rounds onto the probe end; the record must
+    # still hold the zero strictly inside its bracket, as found without it.
+    estimate = asymptotic_zero("K", 125, 4.0)
+    monkeypatch.setattr(zerofinder, "_PROBE_STEPS", 0.0)
+    plain = refine_zero("K", 125, 4.0, estimate)
+    monkeypatch.setattr(zerofinder, "_PROBE_STEPS", 300.0)
+    ends = []
+    half_bracket = zerofinder._half_bracket
+
+    def recording(g, lo, hi, *args):
+        ends.append((lo, hi))
+        return half_bracket(g, lo, hi, *args)
+
+    monkeypatch.setattr(zerofinder, "_half_bracket", recording)
+    record = refine_zero("K", 125, 4.0, estimate)
+    assert len(ends) == 2 and plain.nu_refined in ends[0]
+    assert record == plain
 
 
 def test_a_wrong_side_prediction_changes_no_zero_and_costs_one_evaluation(
         refined_to_500, monkeypatch):
-    # Predicting the wrong side wastes the evaluation of that end, then the
-    # two-sided stage evaluates both ends; the predicted side skipped the
-    # far end unless the estimate itself was the zero.
+    # Predicting the wrong side wastes the evaluation of the predicted end
+    # in each half-bracket stage tried, the probe and the +-h stage. Then
+    # the two-sided stage evaluates both ends and runs the solver the +-h
+    # stage runs when the probe is disabled; that stage skipped the far end
+    # unless the estimate itself was the zero.
+    calls = _count_detection_calls(monkeypatch)
+    with monkeypatch.context() as patch:
+        patch.setattr(zerofinder, "_PROBE_STEPS", 0.0)
+        unprobed = {(kind, x): _refine_to_500(kind, x, calls)
+                    for kind in FunctionKind for x in _SWEEP_XS if x <= 4.0}
+    stages = []
+    half_bracket = zerofinder._half_bracket
     sign_above = zerofinder._sign_above
+
+    def counting_stages(*args):
+        stages.append(args)
+        return half_bracket(*args)
+
+    monkeypatch.setattr(zerofinder, "_half_bracket", counting_stages)
     monkeypatch.setattr(zerofinder, "_sign_above",
                         lambda kind, n: -sign_above(kind, n))
-    calls = _count_detection_calls(monkeypatch)
-    for (kind, x), rows in refined_to_500.items():
-        if x > 4.0:
-            continue
-        for (record, count), (wrong, wrong_count) in zip(
-                rows, _refine_to_500(kind, x, calls)):
+    for (kind, x), rows in unprobed.items():
+        for (record, _), (plain, count) in zip(refined_to_500[kind, x],
+                                               rows):
             where = f"{kind.value} n={record.n} x={x}"
-            assert wrong.nu_refined == record.nu_refined, where
-            assert wrong.residual == record.residual, where
-            far_skipped = record.partial[3] in record.bracket
-            assert wrong_count == count + far_skipped + 1, where
+            estimate = asymptotic_zero(kind, record.n, x)
+            calls.clear()
+            stages.clear()
+            wrong = refine_zero(kind, record.n, x, estimate)
+            for other in (plain, wrong):
+                assert other.nu_refined == record.nu_refined, where
+                assert other.residual == record.residual, where
+            probed = len(stages) - 1
+            assert probed in (0, 1), where
+            far_skipped = plain.partial[3] in plain.bracket
+            assert len(calls) == count + far_skipped + 1 + probed, where
 
 
 def test_brent_returns_an_interior_iterate_where_g_is_exactly_zero():
