@@ -1,19 +1,27 @@
 """Command-line front end.
 
 Four subcommands: `eval` prints one function value in scaled and plain form,
-`zeros` computes and refines the first zeros of one function, `table`
-reproduces the reference-table layout (refined zero next to the
-three-correction asymptotic estimate for a pair of functions), and `coeffs`
-dumps the coefficient pipeline as JSON for audit.
+`zeros` computes and refines the zeros n = 1..n_max of one function in the
+paper's numbering, `table` reproduces the reference-table layout (refined
+zero next to the three-correction asymptotic estimate for a pair of
+functions), and `coeffs` dumps the coefficient pipeline as JSON for audit.
+
+The paper's n is an asymptotic label, and its n = 1 can lie above real
+zeros: F at x = 4 also vanishes at 3.7314 and 6.6706, below its n = 1 at
+8.8895. `zeros` does not list such zeros.
 
 Output is a pure function of the parsed configuration: identical invocations
-produce byte-identical output. Exit codes: 0 success, 1 stdout closed early,
-2 domain error, 3 convergence or bracketing failure.
+produce byte-identical output. A `table` cell that fails prints `error` in
+place of its numbers (or an "error" entry in json) and one
+`error: <kind> n=<n>: <reason>` line on stderr. Exit codes: 0 success, 1
+stdout closed early, 2 domain error, 3 convergence or bracketing failure.
+In-process `main` calls share one argument parser, built on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -23,8 +31,9 @@ from dataclasses import dataclass
 from .asymcoeff import coefficient_set, correction_coefficients
 from .besseval import FunctionKind, eval_function
 from .errors import ConvergenceError, DomainError, EnumerationError
-from .zerofinder import (ZeroRecord, _estimator, asymptotic_zero,
-                         enumerate_zeros, leading_xi, refine_zero)
+from .zerofinder import (ZeroRecord, _estimator, _positive_int,
+                         asymptotic_zero, enumerate_zeros, leading_xi,
+                         refine_zero)
 
 __all__ = ["RunConfig", "main", "build_parser"]
 
@@ -170,6 +179,7 @@ def cmd_table(config: RunConfig, out) -> int:
             except (DomainError, ConvergenceError) as exc:
                 cells[kind.value, n] = exc
                 code = max(code, _exit_code_for(exc))
+                sys.stderr.write(f"error: {kind.value} n={n}: {exc}\n")
 
     if config.format == "json":
         payload = []
@@ -215,9 +225,11 @@ def cmd_table(config: RunConfig, out) -> int:
 def cmd_coeffs(config: RunConfig, out) -> int:
     """Dump the coefficient pipeline (C, a, A and per-n b, B) as JSON."""
     kind = FunctionKind.coerce(config.kind)
+    if config.n is not None:
+        ns = [_positive_int("n", config.n)]
+    else:
+        ns = range(1, _positive_int("n_max", config.n_max) + 1)
     coeffs = coefficient_set(config.x, kind.family)
-    ns = [config.n] if config.n is not None \
-        else list(range(1, config.n_max + 1))
     lambda_ = 2.0 / (math.e * config.x)
     per_n = []
     for n in ns:
@@ -246,6 +258,7 @@ def cmd_coeffs(config: RunConfig, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the command line; `main` builds one and reuses it."""
     parser = argparse.ArgumentParser(
         prog="imbessel",
         description="Evaluate Bessel functions of imaginary order and "
@@ -284,6 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first main call, not at import; parsing leaves it as built.
+    return build_parser()
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     fields = {"command": args.command}
     for name in ("kind", "nu", "x", "n", "n_max", "order", "tol", "format",
@@ -295,8 +314,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     config = _config_from_args(args)
     command = {
         "eval": cmd_eval,

@@ -131,9 +131,15 @@ def asymptotic_zero(kind: object, n: int, x: float,
     guard xi > max(2, x).
     """
     kind = FunctionKind.coerce(kind)
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    _positive_int("n", n)
     return _estimator(kind, x, order)(n)
+
+
+def _positive_int(name: str, value: object) -> int:
+    # The one check and message for a zero index or count.
+    if not (isinstance(value, int) and value >= 1):
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
 def _estimator(kind: FunctionKind, x: float,
@@ -405,8 +411,7 @@ def enumerate_zeros(kind: object, x: float, n_max: int,
     raised EnumerationError.
     """
     kind = FunctionKind.coerce(kind)
-    if not (isinstance(n_max, int) and n_max >= 1):
-        raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
+    _positive_int("n_max", n_max)
     records: list[ZeroRecord] = []
     for n in range(1, n_max + 1):
         try:

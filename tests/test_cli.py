@@ -321,6 +321,26 @@ def test_a_table_at_an_x_too_large_for_the_coefficients_exits_2(capsys):
     assert {entry["error"] for entry in payload} == {_OVERFLOW}
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("x,want_code,first_reason", [
+    ("1e100", 2, _OVERFLOW),
+    ("10", 3, "no sign change of the detection value for L n=1 x=10.0"),
+], ids=["x1e100", "x10"])
+def test_table_writes_the_reason_for_each_failed_cell_to_stderr(
+        capsys, fmt, x, want_code, first_reason):
+    code, out, err = _run(capsys, ["table", "--x", x, "--format", fmt])
+    _, json_out, json_err = _run(capsys, ["table", "--x", x, "--format",
+                                          "json"])
+    assert code == want_code
+    failed = [e for e in json.loads(json_out) if "error" in e]
+    want = [f"error: {e['kind']} n={e['n']}: {e['error']}" for e in failed]
+    assert err.splitlines() == json_err.splitlines() == want
+    assert err.startswith(f"error: L n=1: {first_reason}")
+    # A failed cell prints "error" in each of its 2 text or 3 csv columns.
+    assert out.count("error") == len(failed) * (2 if fmt == "text" else 3)
+    assert len(failed) == (2 * len(NS) if x == "1e100" else 2)
+
+
 def test_zeros_outside_validity_exits_2(capsys):
     code, out, err = _run(capsys, ["zeros", "--kind", "L", "--x", "0.05"])
     assert code == 2
@@ -349,6 +369,63 @@ def test_argparse_rejects_unknown_kind(capsys):
         main(["zeros", "--kind", "Q"])
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_main_builds_one_parser_for_several_calls(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    for argv in (["eval", "--kind", "L", "--nu", "1.0"],
+                 ["zeros", "--kind", "K", "--n-max", "2"], ["table"]):
+        code, _, _ = _run(capsys, argv)
+        assert code == 0
+    assert len(built) == 1
+
+
+def test_a_reused_parser_leaks_no_state_between_calls(capsys):
+    calls = [["eval", "--kind", "K", "--nu", "1.0", "--x", "2.0"],
+             ["eval", "--kind", "K", "--nu", "1.0", "--format", "json"],
+             ["zeros", "--kind", "G", "--n", "1", "--format", "csv"],
+             ["zeros", "--kind", "G", "--n-max", "2"],
+             ["table", "--table", "2", "--format", "csv"],
+             ["table"],
+             ["coeffs", "--kind", "L", "--n", "2", "--x", "3.0"],
+             ["coeffs", "--kind", "L"]]
+    first = [_run(capsys, argv) for argv in calls]
+    with pytest.raises(SystemExit) as rejected:
+        main(["zeros", "--kind", "Q"])
+    assert rejected.value.code == 2
+    assert "invalid choice: 'Q'" in capsys.readouterr().err
+    # In reverse order every call follows a different one than before.
+    again = [_run(capsys, argv) for argv in reversed(calls)]
+    assert again == first[::-1]
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        assert exited.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0].startswith("usage: imbessel")
+    assert helps[1] == helps[0]
+
+
+@pytest.mark.parametrize("kind", ["L", "K"])
+@pytest.mark.parametrize("flag,value,name", [
+    ("--n", "0", "n"), ("--n", "-2", "n"),
+    ("--n-max", "0", "n_max"), ("--n-max", "-3", "n_max"),
+])
+def test_coeffs_rejects_the_zero_indices_that_zeros_rejects(
+        capsys, kind, flag, value, name):
+    want = f"error: {name} must be a positive integer, got {value}\n"
+    for command in ("coeffs", "zeros"):
+        got = _run(capsys, [command, "--kind", kind, flag, value])
+        assert got == (2, "", want), command
 
 
 def test_coeffs_dump_matches_the_library(capsys):
