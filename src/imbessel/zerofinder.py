@@ -12,10 +12,10 @@ Refinement brackets the sign change of the unit-normalized function value
 around the estimate, guarded so the bracket can never leak to an adjacent
 zero, and closes in on it with Brent-Dekker's zeroin started from the
 estimate. The sign of that value at the estimate says on which side of it
-the zero lies, so only the bracket end across the zero is evaluated; far
-out it is first tried one solver stopping step away, which proves the zero
-in two evaluations. The coefficient set depends on x and the family only,
-so an enumeration builds it once for all its zeros.
+the zero lies: only the bracket end across the zero is evaluated, far out
+first one solver stopping step away, which proves the zero in two
+evaluations, and no sign change there raises. The coefficient set depends
+on x and the family only, so an enumeration builds it once for all zeros.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ class ZeroRecord:
     function values at its ends measure the local scale the final residual is
     judged against. It is the half bracket between the estimate and the end
     across the zero, or the whole bracket around the estimate when the
-    estimate is the zero to rounding or both ends had to be evaluated; the
-    refined zero lies strictly inside it; where the probe stage confirmed
-    the zero it is one or two solver stopping steps wide, about 1e-12.
+    estimate is the zero to rounding; the refined zero lies strictly inside
+    it; where the probe stage confirmed the zero it is one or two solver
+    stopping steps wide, about 1e-12.
     partial carries the estimate's four cumulative sums.
     """
 
@@ -252,8 +252,8 @@ def _brent(g: Callable[[float], float], a: float, b: float, fa: float,
 def _sign_above(kind: FunctionKind, n: int) -> float:
     # The sign of the detection value just above the nth zero: consecutive
     # zeros alternate it, and K's component enters with sign -1. The tests
-    # check it for every kind at x <= 8, n <= 500; a wrong prediction costs
-    # one evaluation, not a wrong zero.
+    # check it for every kind at x <= 8, n <= 500; a wrong prediction raises
+    # BracketingError, not a wrong zero.
     return -kind.sign * (-1) ** n
 
 
@@ -268,10 +268,10 @@ def _half_bracket(g: Callable[[float], float], lo: float, hi: float,
     # Solve on the half of [lo, hi] that the sign of g_hat puts across the
     # zero; (nu_refined, bracket), or None when the predicted end shows no
     # sign change, the zero is that end to rounding, or the far end does not
-    # confirm a zero at the estimate.
+    # confirm a zero at the estimate, as _brent returns when g_hat is 0.0.
     end, far = (lo, hi) if (g_hat > 0.0) == (sign_above > 0.0) else (hi, lo)
     g_end = g(end)
-    if not _straddles(g_end, g_hat):
+    if g_hat != 0.0 and not _straddles(g_end, g_hat):
         return None
     nu_refined = _brent(g, end, nu_hat, g_end, g_hat, tol)
     if nu_refined == end:  # only in a probe bracket; leave it to a wider one
@@ -291,19 +291,18 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
 
     Brackets the unit-normalized detection value g around the estimate
     nu_hat, with the half-width h seeded by the last correction term and
-    clamped to the phase window. Just above the nth zero g has the sign
-    -kind.sign * (-1)**n, so g(nu_hat) tells which of nu_hat -+ h lies
-    across the zero, and only that end is evaluated. A Brent-Dekker solver
-    then starts from the estimate on that half bracket and runs until its
-    bracket is at most `tol` (plus a few ulps) wide. When the last
-    correction is below _PROBE_STEPS solver stopping steps, that end is
-    first tried one such step from the estimate, where a sign change stops
-    the solver before its first step. When the predicted end shows no sign
-    change, both ends are evaluated instead, expanding the bracket
-    geometrically inside the phase window when needed; the window is solved
-    for only when a bracket end may lie outside it. Raises BracketingError
-    when no sign change exists inside the window, which signals an invalid
-    estimate.
+    clamped to the phase window, which is solved for only when a bracket end
+    may lie outside it. Just above the nth zero g has the sign
+    -kind.sign * (-1)**n, so g(nu_hat) tells which end lies across the zero,
+    and only that end is evaluated; a Brent-Dekker solver then starts from the
+    estimate on that half bracket and runs until its bracket is at most
+    `tol` (plus a few ulps) wide. The widths tried are one solver stopping
+    step, if the last correction is below _PROBE_STEPS of them, then h
+    doubled up to _MAX_EXPANSIONS times. An estimate where g is exactly 0.0
+    is the zero once both ends of a bracket change sign. Raises
+    BracketingError, which signals an invalid estimate, for an estimate
+    outside its clamped bracket, before any evaluation, and when no width
+    shows a sign change.
     """
     kind = FunctionKind.coerce(kind)
     if (estimate.kind is not kind or estimate.n != n
@@ -321,71 +320,42 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
     h = max(0.05, 2.0 * abs(estimate.partial[3] - estimate.partial[2]))
     window = None
 
-    def clamp(h: float) -> tuple[float, float]:
-        # nu_hat -+ h clamped to the phase window, solved for on first need.
+    def clamp(width: float) -> tuple[float, float]:
+        # nu_hat -+ width clamped to the phase window, solved for on first
+        # need; nu_hat -+ h, checked first, holds every narrower bracket.
         nonlocal window
-        lo, hi = nu_hat - h, nu_hat + h
-        if window is None and not _inside_phase_window(lo, hi, estimate):
+        lo, hi = nu_hat - width, nu_hat + width
+        if (window is None and width >= h
+                and not _inside_phase_window(lo, hi, estimate)):
             window = _phase_window(estimate)
         if window is not None:
             lo, hi = max(window[0], lo), min(window[1], hi)
         return lo, hi
 
     lo, hi = clamp(h)
-    # A center outside the phase window clamps to an empty interval; the
-    # estimate cannot belong to this zero, so fail rather than search.
-    if lo >= hi:
+    # An estimate outside its clamped bracket cannot belong to this zero.
+    if not lo < nu_hat < hi:
         raise BracketingError(
             f"estimate nu = {nu_hat!r} lies outside the phase window "
             f"({window[0]!r}, {window[1]!r}) for {kind.value} n={n} "
             f"x={x!r}", (lo, hi))
     g_hat = g(nu_hat)
-    found = None
-    if lo < nu_hat < hi and g_hat != 0.0:
-        sign_above = _sign_above(kind, n)
-        # The solver's stopping step: a sign change there ends _brent at once.
-        step = 2.0 * _EPS * abs(nu_hat) + 0.5 * tol
-        if (abs(estimate.partial[3] - estimate.partial[2])
-                < _PROBE_STEPS * step
-                and lo <= nu_hat - step and nu_hat + step <= hi):
-            found = _half_bracket(g, nu_hat - step, nu_hat + step, nu_hat,
-                                  g_hat, sign_above, tol)
-        if found is None:
-            found = _half_bracket(g, lo, hi, nu_hat, g_hat, sign_above, tol)
-    if found is not None:
-        nu_refined, bracket = found
+    sign_above = _sign_above(kind, n)
+    # The solver's stopping step: a sign change there ends _brent at once.
+    step = 2.0 * _EPS * abs(nu_hat) + 0.5 * tol
+    probed = (abs(estimate.partial[3] - estimate.partial[2])
+              < _PROBE_STEPS * step and step <= h)
+    for k in range(-1 if probed else 0, _MAX_EXPANSIONS + 1):
+        lo, hi = clamp(step if k < 0 else h * 2.0 ** k)
+        found = _half_bracket(g, lo, hi, nu_hat, g_hat, sign_above, tol)
+        if found is not None:
+            break
     else:
-        # The two-sided stage: both ends, expanded until they change sign.
-        g_lo = g(lo)
-        g_hi = g(hi)
-        for _ in range(_MAX_EXPANSIONS):
-            if g_lo == 0.0 or g_hi == 0.0 or (g_lo < 0.0) != (g_hi < 0.0):
-                break
-            h *= 2.0
-            lo, hi = clamp(h)
-            g_lo = g(lo)
-            g_hi = g(hi)
-        else:
-            if g_lo != 0.0 and g_hi != 0.0 and (g_lo < 0.0) == (g_hi < 0.0):
-                raise BracketingError(
-                    f"no sign change of the detection value for "
-                    f"{kind.value} n={n} x={x!r}", (lo, hi))
+        raise BracketingError(
+            f"no sign change of the detection value for "
+            f"{kind.value} n={n} x={x!r}", (lo, hi))
 
-        bracket = (lo, hi)
-        # An exact zero at an endpoint needs no solver; accept it directly.
-        if g_lo == 0.0 or g_hi == 0.0:
-            nu_refined = lo if g_lo == 0.0 else hi
-            bracket = (nu_refined - tol, nu_refined + tol)
-        elif lo < nu_hat < hi:
-            # The estimate is the best first iterate; _brent returns it at
-            # once if g vanishes there exactly.
-            if (g_lo < 0.0) != (g_hat < 0.0):
-                nu_refined = _brent(g, lo, nu_hat, g_lo, g_hat, tol)
-            else:
-                nu_refined = _brent(g, hi, nu_hat, g_hi, g_hat, tol)
-        else:
-            nu_refined = _brent(g, lo, hi, g_lo, g_hi, tol)
-
+    nu_refined, bracket = found
     nu_asymptotic = estimate.nu
     return ZeroRecord(
         kind=kind,

@@ -385,44 +385,70 @@ def test_a_zero_at_the_probe_end_is_left_to_the_wider_bracket(monkeypatch):
     assert record == plain
 
 
-def test_a_wrong_side_prediction_changes_no_zero_and_costs_one_evaluation(
+def _refined_at_most_x4(refined_to_500):
+    # The 8,000 rows of the sweep at x <= 4.
+    return [(kind, x, record) for (kind, x), rows in refined_to_500.items()
+            if x <= 4.0 for record, _ in rows]
+
+
+def test_the_probe_changes_no_zero(refined_to_500, monkeypatch):
+    monkeypatch.setattr(zerofinder, "_PROBE_STEPS", 0.0)
+    rows = _refined_at_most_x4(refined_to_500)
+    assert len(rows) == 8000
+    for kind, x, record in rows:
+        where = f"{kind.value} n={record.n} x={x}"
+        plain = refine_zero(kind, record.n, x,
+                            asymptotic_zero(kind, record.n, x))
+        assert plain.nu_refined == record.nu_refined, where
+        assert plain.residual == record.residual, where
+
+
+def test_a_wrong_side_prediction_raises_rather_than_searching(
         refined_to_500, monkeypatch):
-    # Predicting the wrong side wastes the evaluation of the predicted end
-    # in each half-bracket stage tried, the probe and the +-h stage. Then
-    # the two-sided stage evaluates both ends and runs the solver the +-h
-    # stage runs when the probe is disabled; that stage skipped the far end
-    # unless the estimate itself was the zero.
-    calls = _count_detection_calls(monkeypatch)
-    with monkeypatch.context() as patch:
-        patch.setattr(zerofinder, "_PROBE_STEPS", 0.0)
-        unprobed = {(kind, x): _refine_to_500(kind, x, calls)
-                    for kind in FunctionKind for x in _SWEEP_XS if x <= 4.0}
-    stages = []
-    half_bracket = zerofinder._half_bracket
+    # Only the predicted side is ever evaluated, so predicting the wrong
+    # side finds no sign change in any bracket width and returns no zero.
     sign_above = zerofinder._sign_above
-
-    def counting_stages(*args):
-        stages.append(args)
-        return half_bracket(*args)
-
-    monkeypatch.setattr(zerofinder, "_half_bracket", counting_stages)
     monkeypatch.setattr(zerofinder, "_sign_above",
                         lambda kind, n: -sign_above(kind, n))
-    for (kind, x), rows in unprobed.items():
-        for (record, _), (plain, count) in zip(refined_to_500[kind, x],
-                                               rows):
-            where = f"{kind.value} n={record.n} x={x}"
-            estimate = asymptotic_zero(kind, record.n, x)
-            calls.clear()
-            stages.clear()
-            wrong = refine_zero(kind, record.n, x, estimate)
-            for other in (plain, wrong):
-                assert other.nu_refined == record.nu_refined, where
-                assert other.residual == record.residual, where
-            probed = len(stages) - 1
-            assert probed in (0, 1), where
-            far_skipped = plain.partial[3] in plain.bracket
-            assert len(calls) == count + far_skipped + 1 + probed, where
+    rows = _refined_at_most_x4(refined_to_500)
+    assert len(rows) == 8000
+    for kind, x, record in rows:
+        with pytest.raises(BracketingError, match="no sign change"):
+            refine_zero(kind, record.n, x,
+                        asymptotic_zero(kind, record.n, x))
+
+
+@pytest.mark.parametrize("kind,x", [("L", 10.0), ("G", 11.0)])
+def test_an_estimate_outside_its_phase_window_raises_before_evaluating(
+        kind, x, monkeypatch):
+    # L's estimate at x = 10 lies below its n = 1 window, G's at x = 11
+    # above it. Searching the window instead cost L 15 evaluations and gave
+    # G 15.934, not the zero at 18.490 next to its estimate 18.520.
+    calls = _count_detection_calls(monkeypatch)
+    estimate = asymptotic_zero(kind, 1, x)
+    with pytest.raises(BracketingError, match="lies outside the phase window"):
+        refine_zero(kind, 1, x, estimate)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 400])
+def test_an_exact_zero_at_the_estimate_is_confirmed_by_both_ends(
+        n, monkeypatch):
+    # A linear detection value vanishing at the estimate; n = 400 is probed.
+    estimate = asymptotic_zero("K", n, 1.0)
+    calls = []
+
+    def linear(kind, nu, x):
+        calls.append(nu)
+        return nu - estimate.nu
+
+    monkeypatch.setattr(zerofinder, "detection_value", linear)
+    record = refine_zero("K", n, 1.0, estimate)
+    lo, hi = record.bracket
+    assert record.nu_refined == estimate.nu
+    assert lo < record.nu_refined < hi
+    # Both ends were evaluated, and a linear value changes sign across them.
+    assert len(calls) <= 3 and {lo, hi} <= set(calls)
 
 
 def test_brent_returns_an_interior_iterate_where_g_is_exactly_zero():
