@@ -44,6 +44,8 @@ _LOG_SPACE_NU = 20.0
 
 _DEFAULT_TOL = 1e-18
 _MAX_TERMS = 500
+# k1 = k + 1 as a float, one for each term ratio the series may take.
+_K1 = tuple(float(k + 1) for k in range(_MAX_TERMS))
 
 _MANTISSA_LO = 1.0 / math.e
 _MANTISSA_HI = math.e
@@ -63,13 +65,9 @@ class ScaledReal:
 
     def normalized(self) -> "ScaledReal":
         """Return an equal value with the mantissa inside [1/e, e] or zero."""
-        m = self.mantissa
-        if m == 0.0:
-            return ScaledReal(0.0, 0.0)
-        if _MANTISSA_LO <= abs(m) <= _MANTISSA_HI:
+        if _MANTISSA_LO <= abs(self.mantissa) <= _MANTISSA_HI:
             return self
-        shift = math.log(abs(m))
-        return ScaledReal(m / math.exp(shift), self.log_scale + shift)
+        return _normalized(self.mantissa, self.log_scale)
 
     def plain(self) -> float | None:
         """The value as an ordinary float, or None if it would overflow."""
@@ -81,16 +79,26 @@ class ScaledReal:
         return norm.mantissa * math.exp(norm.log_scale)
 
 
+def _normalized(m: float, log_scale: float) -> ScaledReal:
+    # m * exp(log_scale) as a normalized ScaledReal, built once.
+    if _MANTISSA_LO <= abs(m) <= _MANTISSA_HI:
+        return ScaledReal(m, log_scale)
+    if m == 0.0:
+        return ScaledReal(0.0, 0.0)
+    shift = math.log(abs(m))
+    return ScaledReal(m / math.exp(shift), log_scale + shift)
+
+
 def series_sum(nu: float, x: float, family: str,
                tol: float = _DEFAULT_TOL) -> complex:
     """Sum the ascending series of I (modified) or J (ordinary) at order i*nu.
 
     Returns sum_{k>=0} (+-1)^k (x/2)^{2k} / (k! (1+i nu)_k), built by the
-    term-ratio recurrence and truncated when the current term's modulus falls
-    to tol times the partial sum's. Raises DomainError for non-finite nu or
-    x, and ConvergenceError past 500 terms, which cannot happen for x <= 50
-    at the default tolerance, or when the sum overflows to a non-finite
-    value.
+    ratio t_{k+1} / t_k = z / (k1 (k1 + i nu)), z = +-(x/2)^2, k1 = k + 1 a
+    float, and truncated when the current term's modulus falls to tol times
+    the partial sum's. Raises DomainError for non-finite nu or x, and
+    ConvergenceError past 500 terms, which cannot happen for x <= 50 at the
+    default tolerance, or when the sum overflows to a non-finite value.
     """
     if not (0.0 < x < math.inf):
         raise DomainError(f"series_sum requires finite x > 0, got {x!r}")
@@ -106,10 +114,11 @@ def series_sum(nu: float, x: float, family: str,
         raise DomainError(
             f"family must be 'modified' or 'ordinary', got {family!r}")
 
+    inu = complex(0.0, nu)
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
-    for k in range(_MAX_TERMS):
-        term *= z / ((k + 1) * complex(k + 1, nu))
+    for k1 in _K1:
+        term *= z / (k1 * (k1 + inu))
         total += term
         if abs(term) <= tol * abs(total):
             if not cmath.isfinite(total):
@@ -222,4 +231,4 @@ def eval_function(kind: object, nu: float, x: float) -> ScaledReal:
     if not (0.0 < x < math.inf):
         raise DomainError(f"eval_function requires finite x > 0, got {x!r}")
     component, log_scale = _component(kind, nu, x)
-    return ScaledReal(component, log_scale + kind.log_weight(nu)).normalized()
+    return _normalized(component, log_scale + kind.log_weight(nu))

@@ -83,13 +83,12 @@ def recip_gamma_prefactor(nu: float, x: float) -> tuple[complex, float]:
     """Split (x/2)^{i*nu} / Gamma(1 + i*nu) into (unit_phase, log_magnitude).
 
     Returns w = i*nu*log(x/2) - log Gamma(1 + i*nu) as (exp(i Im w), Re w),
-    so the full prefactor equals unit_phase * exp(log_magnitude) without ever
-    forming the exponentially large modulus.
+    both parts taken in real arithmetic (Re w = -Re log Gamma), so the full
+    prefactor is unit_phase * exp(log_magnitude) without the huge modulus.
     """
     if not (nu > 0.0):
         raise DomainError(f"recip_gamma_prefactor requires nu > 0, got {nu!r}")
     if not (x > 0.0):
         raise DomainError(f"recip_gamma_prefactor requires x > 0, got {x!r}")
-    w = 1j * nu * math.log(0.5 * x) - log_gamma(complex(1.0, nu))
-    unit_phase = cmath.exp(1j * w.imag)
-    return unit_phase, w.real
+    lg = log_gamma(complex(1.0, nu))
+    return cmath.exp(1j * (nu * math.log(0.5 * x) - lg.imag)), -lg.real

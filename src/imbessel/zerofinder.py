@@ -299,10 +299,11 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
     `tol` (plus a few ulps) wide. The widths tried are one solver stopping
     step, if the last correction is below _PROBE_STEPS of them, then h
     doubled up to _MAX_EXPANSIONS times. An estimate where g is exactly 0.0
-    is the zero once both ends of a bracket change sign. Raises
+    is the zero once both ends of a bracket change sign. Raises DomainError
+    when nu_hat -+ h rounds onto nu_hat, past the float resolution, and
     BracketingError, which signals an invalid estimate, for an estimate
-    outside its clamped bracket, before any evaluation, and when no width
-    shows a sign change.
+    outside its clamped bracket, both before any evaluation, and when no
+    width shows a sign change.
     """
     kind = FunctionKind.coerce(kind)
     if (estimate.kind is not kind or estimate.n != n
@@ -318,6 +319,10 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
 
     nu_hat = estimate.partial[3]
     h = max(0.05, 2.0 * abs(estimate.partial[3] - estimate.partial[2]))
+    if nu_hat - h == nu_hat or nu_hat + h == nu_hat:
+        raise DomainError(
+            f"estimate nu = {nu_hat!r} -+ {h!r} rounds onto the estimate: "
+            f"{kind.value} n={n} x={x!r} is past the float resolution")
     window = None
 
     def clamp(width: float) -> tuple[float, float]:
@@ -332,7 +337,7 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
             lo, hi = max(window[0], lo), min(window[1], hi)
         return lo, hi
 
-    lo, hi = clamp(h)
+    lo, hi = checked = clamp(h)
     # An estimate outside its clamped bracket cannot belong to this zero.
     if not lo < nu_hat < hi:
         raise BracketingError(
@@ -346,7 +351,7 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
     probed = (abs(estimate.partial[3] - estimate.partial[2])
               < _PROBE_STEPS * step and step <= h)
     for k in range(-1 if probed else 0, _MAX_EXPANSIONS + 1):
-        lo, hi = clamp(step if k < 0 else h * 2.0 ** k)
+        lo, hi = checked if k == 0 else clamp(step if k < 0 else h * 2.0 ** k)
         found = _half_bracket(g, lo, hi, nu_hat, g_hat, sign_above, tol)
         if found is not None:
             break
@@ -358,16 +363,10 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
     nu_refined, bracket = found
     nu_asymptotic = estimate.nu
     return ZeroRecord(
-        kind=kind,
-        n=n,
-        x=float(x),
-        nu_asymptotic=nu_asymptotic,
-        nu_refined=nu_refined,
-        discrepancy=abs(nu_asymptotic - nu_refined),
-        bracket=bracket,
-        residual=eval_function(kind, nu_refined, x),
-        partial=estimate.partial,
-    )
+        kind=kind, n=n, x=float(x), nu_asymptotic=nu_asymptotic,
+        nu_refined=nu_refined, discrepancy=abs(nu_asymptotic - nu_refined),
+        bracket=bracket, residual=eval_function(kind, nu_refined, x),
+        partial=estimate.partial)
 
 
 def enumerate_zeros(kind: object, x: float, n_max: int,

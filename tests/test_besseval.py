@@ -7,12 +7,15 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from imbessel import (NU_MIN, ConvergenceError, DomainError, FunctionKind,
                       ScaledReal, detection_value, eval_function, phase,
                       recip_gamma_prefactor, series_sum)
+
+import imbessel.besseval as besseval
+import imbessel.cgamma as cgamma
 
 from golden import NS, TABLE_ZERO, fnum
 
@@ -93,6 +96,64 @@ def test_series_gap_to_truncated_c_expansion_scales_as_nu_minus6():
     z = 1.0 / (1j * nu)
     truncated = sum(c * z ** k for k, c in enumerate(c_polynomials(0.25)))
     assert 0.1 <= abs(got - truncated) * nu ** 6 <= 5.0
+
+
+def _series_sum_reference(nu, x, family, tol=1e-18):
+    # The recurrence as first written, one complex() per term, with the same
+    # stopping rule; series_sum must reproduce it bit for bit.
+    z = (0.5 * x) ** 2 if family == "modified" else -((0.5 * x) ** 2)
+    term = total = 1.0 + 0.0j
+    for k in range(500):
+        term *= z / ((k + 1) * complex(k + 1, nu))
+        total += term
+        if abs(term) <= tol * abs(total):
+            return total
+    raise AssertionError("reference series did not converge")
+
+
+@given(st.floats(min_value=-1000.0, max_value=1000.0),
+       st.floats(min_value=1e-3, max_value=50.0),
+       st.sampled_from(["modified", "ordinary"]))
+@example(-5.0, 1.0, "modified")
+@example(-2.962549, 20.0, "ordinary")
+def test_series_sum_is_bit_identical_to_the_complex_per_term_form(
+        nu, x, family):
+    assert series_sum(nu, x, family) == _series_sum_reference(nu, x, family)
+
+
+@given(st.sampled_from(list(FunctionKind)),
+       st.floats(min_value=0.5, max_value=900.0),
+       st.floats(min_value=0.25, max_value=40.0))
+def test_eval_function_is_bit_identical_to_normalizing_a_built_value(
+        kind, nu, x):
+    # The value built unnormalized and then normalized, as first written.
+    unit_phase, log_scale = recip_gamma_prefactor(nu, x)
+    unit = unit_phase * _series_sum_reference(nu, x, kind.family)
+    part = kind.sign * (unit.imag if kind.imaginary else unit.real)
+    want = ScaledReal(part, log_scale + kind.log_weight(nu)).normalized()
+    assert eval_function(kind, nu, x) == want
+
+
+def _count_layer_calls(monkeypatch) -> dict:
+    # Count calls through the module attributes a layer tracer wraps.
+    counts = {}
+    for module, name in ((besseval, "recip_gamma_prefactor"),
+                         (cgamma, "log_gamma"), (besseval, "series_sum")):
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("evaluate", [detection_value, eval_function])
+def test_one_evaluation_calls_each_layer_once_through_its_module(
+        evaluate, monkeypatch):
+    counts = _count_layer_calls(monkeypatch)
+    evaluate("K", 30.0, 3.0)
+    assert counts == {"recip_gamma_prefactor": 1, "log_gamma": 1,
+                      "series_sum": 1}
 
 
 @pytest.mark.parametrize("bad_call", [

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from imbessel import (STIRLING_COEFFICIENTS, DomainError, log_gamma,
                       recip_gamma_prefactor)
@@ -83,6 +85,47 @@ def test_modulus_identity_across_orders():
             log_sinh = math.log(math.sinh(u))
         rhs = math.log(math.pi * nu) - log_sinh
         assert abs(2.0 * value.real - rhs) <= 1e-12, f"nu = {nu}"
+
+
+_BERNOULLI_TERMS = tuple(float(c) for c in (
+    Fraction(1, 12), Fraction(-1, 360), Fraction(1, 1260), Fraction(-1, 1680),
+    Fraction(1, 1188), Fraction(-691, 360360), Fraction(1, 156),
+    Fraction(-3617, 122400)))
+
+
+def _log_gamma_reference(z):
+    # The shift and the looped Stirling sum as first written; log_gamma must
+    # reproduce them bit for bit.
+    shift = 0.0 + 0.0j
+    while abs(z) < 10.0:
+        shift += cmath.log(z)
+        z += 1.0
+    total = (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2.0 * math.pi)
+    zinv2 = 1.0 / (z * z)
+    power = 1.0 / z
+    for coeff in _BERNOULLI_TERMS:
+        total += coeff * power
+        power *= zinv2
+    return total - shift
+
+
+# Points on both sides of the shift radius |z| = 10.
+@given(st.floats(min_value=1e-3, max_value=30.0),
+       st.floats(min_value=-30.0, max_value=30.0))
+@example(10.0, 0.0)
+@example(9.999999999999998, 0.0)
+@example(6.0, 8.0)
+@example(5.999999999999999, 8.0)
+def test_log_gamma_is_bit_identical_to_the_looped_stirling_sum(re, im):
+    z = complex(re, im)
+    assert log_gamma(z) == _log_gamma_reference(z)
+
+
+@given(st.floats(min_value=1e-3, max_value=1000.0),
+       st.floats(min_value=1e-3, max_value=100.0))
+def test_prefactor_is_bit_identical_to_the_complex_form(nu, x):
+    w = 1j * nu * math.log(0.5 * x) - log_gamma(complex(1.0, nu))
+    assert recip_gamma_prefactor(nu, x) == (cmath.exp(1j * w.imag), w.real)
 
 
 def test_prefactor_phase_has_unit_modulus():

@@ -349,6 +349,16 @@ def test_zeros_outside_validity_exits_2(capsys):
     assert err.startswith("error: enumeration of L zeros aborted at n = 1:")
 
 
+def test_zeros_past_the_float_resolution_exits_2(capsys):
+    code, out, err = _run(capsys, ["zeros", "--kind", "L", "--x", "1",
+                                   "--n", "100000000000000000"])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: estimate nu = 8633691213897485.0 -+ 0.05 rounds "
+                   "onto the estimate: L n=100000000000000000 x=1.0 is past "
+                   "the float resolution\n")
+
+
 def test_zeros_bracketing_failure_exits_3(capsys, monkeypatch):
     def fake(kind, x, n_max, order, tol):
         try:

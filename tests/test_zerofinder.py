@@ -14,6 +14,7 @@ from imbessel import (BracketingError, DomainError, EnumerationError,
                       enumerate_zeros, leading_xi, leading_zero, phase,
                       refine_zero)
 
+import imbessel.besseval as besseval
 import imbessel.zerofinder as zerofinder
 
 from golden import NS, TABLE_ASYMPTOTIC, TABLE_ZERO, dp6, fnum
@@ -429,6 +430,49 @@ def test_an_estimate_outside_its_phase_window_raises_before_evaluating(
     with pytest.raises(BracketingError, match="lies outside the phase window"):
         refine_zero(kind, 1, x, estimate)
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [10 ** 16, 10 ** 17, 10 ** 18])
+def test_an_estimate_past_the_float_resolution_raises_before_evaluating(
+        n, monkeypatch):
+    # nu_hat -+ h rounds onto nu_hat once the ulp of nu_hat passes 2 h. The
+    # phase window collapses onto the estimate too but is not to blame, and
+    # it is never solved.
+    calls = _count_detection_calls(monkeypatch)
+    monkeypatch.setattr(zerofinder, "_phase_window", None)
+    estimate = asymptotic_zero("L", n, 1.0)
+    with pytest.raises(DomainError, match="past the float resolution"):
+        refine_zero("L", n, 1.0, estimate)
+    assert calls == []
+
+
+def test_the_checked_bracket_is_reused_for_the_first_width(monkeypatch):
+    # K n = 1 at x = 1 is not probed and changes sign within nu_hat -+ h, so
+    # that bracket is checked against the phase window once.
+    calls = []
+    inside = zerofinder._inside_phase_window
+
+    def counting(*args):
+        calls.append(args)
+        return inside(*args)
+
+    monkeypatch.setattr(zerofinder, "_inside_phase_window", counting)
+    refine_zero("K", 1, 1.0, asymptotic_zero("K", 1, 1.0))
+    assert len(calls) == 1
+
+
+def test_refine_zero_evaluates_through_the_zerofinder_detection_value(
+        monkeypatch):
+    # Every series evaluation but the residual's goes through the module
+    # attribute a layer tracer wraps.
+    calls = _count_detection_calls(monkeypatch)
+    series = []
+    series_sum = besseval.series_sum
+    monkeypatch.setattr(besseval, "series_sum",
+                        lambda *args: series.append(args) or series_sum(*args))
+    refine_zero("K", 3, 1.0, asymptotic_zero("K", 3, 1.0))
+    assert calls
+    assert len(series) == len(calls) + 1
 
 
 @pytest.mark.parametrize("n", [1, 400])
