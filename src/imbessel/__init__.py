@@ -13,7 +13,7 @@ from .asymcoeff import (A_coefficients, a_coefficients, c_polynomials,
 from .besseval import (NU_MIN, FunctionKind, ScaledReal, detection_value,
                        eval_function, series_sum)
 from .cgamma import STIRLING_COEFFICIENTS, log_gamma, recip_gamma_prefactor
-from .cli import RunConfig, main
+from .cli import main
 from .errors import (BracketingError, ConvergenceError, DomainError,
                      EnumerationError, UnreliableAsymptoticsError)
 from .lambertw import lambert_w0, w_asymptotic
@@ -30,7 +30,6 @@ __all__ = [
     "EnumerationError",
     "FunctionKind",
     "NU_MIN",
-    "RunConfig",
     "STIRLING_COEFFICIENTS",
     "ScaledReal",
     "UnreliableAsymptoticsError",

@@ -1,8 +1,8 @@
 """Power-series evaluation of the Bessel functions of imaginary order.
 
-I_{i nu}(x) and J_{i nu}(x) are computed from their ascending series with the
-prefactor (x/2)^{i nu} / Gamma(1 + i nu) kept in split (phase, log-magnitude)
-form, and the four real combinations are assembled in scaled form:
+I_{i nu}(x) and J_{i nu}(x) are computed from their ascending series times
+the unit phase of the prefactor (x/2)^{i nu} / Gamma(1 + i nu), and the four
+real combinations are assembled in scaled form:
 
     L = (pi / sinh(pi nu)) * Re I_{i nu}(x)
     K = -(pi / sinh(pi nu)) * Im I_{i nu}(x)
@@ -13,13 +13,16 @@ The G combination is the real variant of the usual difference definition,
 which as commonly printed is purely imaginary; dividing by i gives this form
 and leaves the nu-zeros unchanged.
 
+The prefactor's modulus, sqrt(sinh(pi nu) / (pi nu)) by DLMF 5.4.3, and the
+hyperbolic weight combine into one closed-form scale per kind, whose log is
+the log_scale of the value and cannot overflow.
+
 FunctionKind holds these facts for each kind, along with the quarter-pi
 offset of its zeros, and both evaluators and the zero finder read them there.
 
 Zeros in nu are located on the unit-normalized value unit_phase * series_sum:
-the positive factors exp(log_scale) and the hyperbolic weights can neither
-create nor destroy sign changes, and stripping them avoids underflow at
-large nu.
+the positive scale can neither create nor destroy sign changes, and
+stripping it avoids underflow at large nu.
 """
 
 from __future__ import annotations
@@ -38,9 +41,6 @@ __all__ = ["FunctionKind", "ScaledReal", "series_sum", "eval_function",
 # Below this order the sinh factors of L, K, G degenerate; the studied zeros
 # all sit well above it.
 NU_MIN = 1e-3
-
-# Switch the hyperbolic weights to log-space evaluation at this order.
-_LOG_SPACE_NU = 20.0
 
 _DEFAULT_TOL = 1e-18
 _MAX_TERMS = 500
@@ -129,27 +129,24 @@ def series_sum(nu: float, x: float, family: str,
         f"series did not converge in {_MAX_TERMS} terms (nu={nu!r}, x={x!r})")
 
 
-# The log hyperbolic weights: of L and K, pi / sinh(pi nu); of F,
-# 1 / cosh(pi nu / 2); of G, 1 / sinh(pi nu / 2).
-def _log_pi_csch(nu: float) -> float:
-    u = math.pi * nu
-    if nu >= _LOG_SPACE_NU:
-        return math.log(2.0 * math.pi) - u - math.log1p(-math.exp(-2.0 * u))
-    return math.log(math.pi / math.sinh(u))
+def _log_scale_lk(nu: float) -> float:
+    # log sqrt(pi / (nu sinh(pi nu))), with log sinh v taken as
+    # v - log 2 + log(-expm1(-2 v)), which cannot overflow.
+    v = math.pi * nu
+    return 0.5 * (math.log(2.0 * math.pi / nu) - v
+                  - math.log(-math.expm1(-2.0 * v)))
 
 
-def _log_sech_half(nu: float) -> float:
+def _log_scale_f(nu: float) -> float:
+    # log sqrt(2 tanh(pi nu / 2) / (pi nu)) = log sqrt(tanh(u) / u).
     u = 0.5 * math.pi * nu
-    if nu >= _LOG_SPACE_NU:
-        return math.log(2.0) - u - math.log1p(math.exp(-2.0 * u))
-    return -math.log(math.cosh(u))
+    return 0.5 * math.log(math.tanh(u) / u)
 
 
-def _log_csch_half(nu: float) -> float:
+def _log_scale_g(nu: float) -> float:
+    # log sqrt(2 coth(pi nu / 2) / (pi nu)) = -log sqrt(u tanh(u)).
     u = 0.5 * math.pi * nu
-    if nu >= _LOG_SPACE_NU:
-        return math.log(2.0) - u - math.log1p(-math.exp(-2.0 * u))
-    return -math.log(math.sinh(u))
+    return -0.5 * math.log(u * math.tanh(u))
 
 
 class FunctionKind(enum.Enum):
@@ -157,21 +154,22 @@ class FunctionKind(enum.Enum):
 
     The value is the letter. The attributes are the series `family`, the
     component of the unit value taken (Im if `imaginary`, else Re, times
-    `sign`), `log_weight(nu)` and the `quarter` offset in m = (n +- 1/4) pi.
+    `sign`), `log_scale(nu)`, the log of the positive factor that the unit
+    value drops, and the `quarter` offset in m = (n +- 1/4) pi.
     """
 
-    L = "L", "modified", False, 1.0, _log_pi_csch, 0.25
-    K = "K", "modified", True, -1.0, _log_pi_csch, -0.25
-    F = "F", "ordinary", False, 1.0, _log_sech_half, 0.25
-    G = "G", "ordinary", True, 1.0, _log_csch_half, -0.25
+    L = "L", "modified", False, 1.0, _log_scale_lk, 0.25
+    K = "K", "modified", True, -1.0, _log_scale_lk, -0.25
+    F = "F", "ordinary", False, 1.0, _log_scale_f, 0.25
+    G = "G", "ordinary", True, 1.0, _log_scale_g, -0.25
 
-    def __new__(cls, letter, family, imaginary, sign, log_weight, quarter):
+    def __new__(cls, letter, family, imaginary, sign, log_scale, quarter):
         member = object.__new__(cls)
         member._value_ = letter
         member.family = family
         member.imaginary = imaginary
         member.sign = sign
-        member.log_weight = log_weight
+        member.log_scale = log_scale
         member.quarter = quarter
         return member
 
@@ -197,14 +195,11 @@ class FunctionKind(enum.Enum):
 _KINDS = {kind.value: kind for kind in FunctionKind}
 
 
-def _component(kind: FunctionKind, nu: float,
-               x: float) -> tuple[float, float]:
-    # kind's component of the unit value of I or J, unit_phase * series_sum,
-    # and the log of the positive factor stripped.
-    unit_phase, log_magnitude = recip_gamma_prefactor(nu, x)
-    unit = unit_phase * series_sum(nu, x, kind.family)
+def _component(kind: FunctionKind, nu: float, x: float) -> float:
+    # kind's component of the unit value of I or J, unit_phase * series_sum.
+    unit = recip_gamma_prefactor(nu, x) * series_sum(nu, x, kind.family)
     part = unit.imag if kind.imaginary else unit.real
-    return kind.sign * part, log_magnitude
+    return kind.sign * part
 
 
 def detection_value(kind: object, nu: float, x: float) -> float:
@@ -214,7 +209,7 @@ def detection_value(kind: object, nu: float, x: float) -> float:
     it shares every sign change with the function itself and stays order one
     at any nu.
     """
-    return _component(FunctionKind.coerce(kind), nu, x)[0]
+    return _component(FunctionKind.coerce(kind), nu, x)
 
 
 def eval_function(kind: object, nu: float, x: float) -> ScaledReal:
@@ -230,5 +225,4 @@ def eval_function(kind: object, nu: float, x: float) -> ScaledReal:
             f"eval_function requires nu >= {NU_MIN!r}, got {nu!r}")
     if not (0.0 < x < math.inf):
         raise DomainError(f"eval_function requires finite x > 0, got {x!r}")
-    component, log_scale = _component(kind, nu, x)
-    return _normalized(component, log_scale + kind.log_weight(nu))
+    return _normalized(_component(kind, nu, x), kind.log_scale(nu))

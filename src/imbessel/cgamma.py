@@ -1,7 +1,7 @@
 """Complex log-gamma on the right half-plane and the Stirling coefficients.
 
-The series evaluator needs log Gamma(1 + i*nu) to split the prefactor
-(x/2)^{i*nu} / Gamma(1 + i*nu) into a unit phase and a real log-magnitude.
+The series evaluator needs arg Gamma(1 + i*nu) for the unit phase of the
+prefactor (x/2)^{i*nu} / Gamma(1 + i*nu); its modulus has a closed form.
 log_gamma is computed by the Stirling asymptotic series after an argument
 shift, which keeps the error budget explicit: with eight Bernoulli terms at
 |z| >= 10 the truncation error is below 1e-17 absolute, and the recurrence
@@ -79,16 +79,16 @@ def log_gamma(z: complex) -> complex:
     return total - shift
 
 
-def recip_gamma_prefactor(nu: float, x: float) -> tuple[complex, float]:
-    """Split (x/2)^{i*nu} / Gamma(1 + i*nu) into (unit_phase, log_magnitude).
+def recip_gamma_prefactor(nu: float, x: float) -> complex:
+    """The unit phase of (x/2)^{i*nu} / Gamma(1 + i*nu).
 
-    Returns w = i*nu*log(x/2) - log Gamma(1 + i*nu) as (exp(i Im w), Re w),
-    both parts taken in real arithmetic (Re w = -Re log Gamma), so the full
-    prefactor is unit_phase * exp(log_magnitude) without the huge modulus.
+    Returns exp(i (nu log(x/2) - Im log Gamma(1 + i*nu))), taken in real
+    arithmetic. The modulus, sqrt(sinh(pi nu) / (pi nu)), is left to the
+    closed-form scale of each function kind.
     """
     if not (nu > 0.0):
         raise DomainError(f"recip_gamma_prefactor requires nu > 0, got {nu!r}")
     if not (x > 0.0):
         raise DomainError(f"recip_gamma_prefactor requires x > 0, got {x!r}")
     lg = log_gamma(complex(1.0, nu))
-    return cmath.exp(1j * (nu * math.log(0.5 * x) - lg.imag)), -lg.real
+    return cmath.exp(1j * (nu * math.log(0.5 * x) - lg.imag))

@@ -10,7 +10,7 @@ The paper's n is an asymptotic label, and its n = 1 can lie above real
 zeros: F at x = 4 also vanishes at 3.7314 and 6.6706, below its n = 1 at
 8.8895. `zeros` does not list such zeros.
 
-Output is a pure function of the parsed configuration: identical invocations
+Output is a pure function of the parsed arguments: identical invocations
 produce byte-identical output. A `table` cell that fails prints `error` in
 place of its numbers (or an "error" entry in json) and one
 `error: <kind> n=<n>: <reason>` line on stderr. Exit codes: 0 success, 1
@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .asymcoeff import coefficient_set, correction_coefficients
 from .besseval import FunctionKind, eval_function
@@ -35,7 +34,7 @@ from .zerofinder import (ZeroRecord, _estimator, _positive_int,
                          asymptotic_zero, enumerate_zeros, leading_xi,
                          refine_zero)
 
-__all__ = ["RunConfig", "main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 CSV_HEADER = "kind,n,x,zero,asymptotic,discrepancy"
 
@@ -51,31 +50,10 @@ _EXIT_DOMAIN = 2
 _EXIT_CONVERGENCE = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; defaults reproduce the reference setting x = 1."""
-
-    command: str
-    kind: str | None = None
-    nu: float | None = None
-    x: float = 1.0
-    n: int | None = None
-    n_max: int = 5
-    order: int = 3
-    tol: float = 1e-12
-    format: str = "text"
-    table: int = 1
-
-
 def _exit_code_for(exc: Exception) -> int:
     if isinstance(exc, EnumerationError):
-        cause = exc.__cause__
-        if isinstance(cause, DomainError):
-            return _EXIT_DOMAIN
-        return _EXIT_CONVERGENCE
-    if isinstance(exc, DomainError):
-        return _EXIT_DOMAIN
-    return _EXIT_CONVERGENCE
+        exc = exc.__cause__
+    return _EXIT_DOMAIN if isinstance(exc, DomainError) else _EXIT_CONVERGENCE
 
 
 def _record_json(record: ZeroRecord) -> dict:
@@ -92,26 +70,31 @@ def _record_json(record: ZeroRecord) -> dict:
 
 
 def _record_csv(record: ZeroRecord) -> str:
-    return ",".join([
-        record.kind.value,
-        str(record.n),
-        repr(record.x),
-        repr(record.nu_refined),
-        repr(record.nu_asymptotic),
-        repr(record.discrepancy),
-    ])
+    return (f"{record.kind.value},{record.n},{record.x!r},"
+            f"{record.nu_refined!r},{record.nu_asymptotic!r},"
+            f"{record.discrepancy!r}")
 
 
-def cmd_eval(config: RunConfig, out) -> int:
+def _table_cell(kind: FunctionKind, n: int, x: float,
+                cell: ZeroRecord | Exception, fmt: str) -> dict | str:
+    # A json or csv table cell: its record, or the error in its place.
+    if not isinstance(cell, Exception):
+        return _record_json(cell) if fmt == "json" else _record_csv(cell)
+    if fmt == "json":
+        return {"kind": kind.value, "n": n, "x": x, "error": str(cell)}
+    return f"{kind.value},{n},{x!r},error,error,error"
+
+
+def cmd_eval(args: argparse.Namespace, out) -> int:
     """Evaluate one function at (nu, x) and print scaled and plain forms."""
-    kind = FunctionKind.coerce(config.kind)
-    value = eval_function(kind, config.nu, config.x)
+    kind = FunctionKind.coerce(args.kind)
+    value = eval_function(kind, args.nu, args.x)
     plain = value.plain()
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "kind": kind.value,
-            "nu": config.nu,
-            "x": config.x,
+            "nu": args.nu,
+            "x": args.x,
             "mantissa": value.mantissa,
             "log_scale": value.log_scale,
             "value": plain,
@@ -120,31 +103,30 @@ def cmd_eval(config: RunConfig, out) -> int:
     else:
         plain_text = repr(plain) if plain is not None else "overflow"
         out.write(
-            f"{kind.value}(nu={config.nu!r}, x={config.x!r}): "
+            f"{kind.value}(nu={args.nu!r}, x={args.x!r}): "
             f"mantissa={value.mantissa!r} log_scale={value.log_scale!r} "
             f"value={plain_text}\n")
     return _EXIT_OK
 
 
-def cmd_zeros(config: RunConfig, out) -> int:
+def cmd_zeros(args: argparse.Namespace, out) -> int:
     """Compute, refine, and report zeros n = 1..n_max (or a single n)."""
-    kind = FunctionKind.coerce(config.kind)
-    if config.n is not None:
-        estimate = asymptotic_zero(kind, config.n, config.x, config.order)
-        records = [refine_zero(kind, config.n, config.x, estimate,
-                               config.tol)]
+    kind = FunctionKind.coerce(args.kind)
+    if args.n is not None:
+        estimate = asymptotic_zero(kind, args.n, args.x, args.order)
+        records = [refine_zero(kind, args.n, args.x, estimate, args.tol)]
     else:
-        records = enumerate_zeros(kind, config.x, config.n_max,
-                                  config.order, config.tol)
+        records = enumerate_zeros(kind, args.x, args.n_max, args.order,
+                                  args.tol)
 
-    if config.format == "json":
+    if args.format == "json":
         out.write(json.dumps([_record_json(r) for r in records]) + "\n")
-    elif config.format == "csv":
+    elif args.format == "csv":
         lines = [CSV_HEADER] + [_record_csv(r) for r in records]
         out.write("\n".join(lines) + "\n")
     else:
-        out.write(f"zeros of {kind.value} at x = {config.x!r}, "
-                  f"order = {config.order}\n")
+        out.write(f"zeros of {kind.value} at x = {args.x!r}, "
+                  f"order = {args.order}\n")
         out.write(f"{'n':>4} {'partial0':>13} {'partial1':>13} "
                   f"{'partial2':>13} {'partial3':>13} {'refined':>13} "
                   f"{'discrepancy':>12} {'width':>10} "
@@ -161,10 +143,10 @@ def cmd_zeros(config: RunConfig, out) -> int:
     return _EXIT_OK
 
 
-def cmd_table(config: RunConfig, out) -> int:
+def cmd_table(args: argparse.Namespace, out) -> int:
     """Reproduce one reference table: refined and asymptotic zero columns."""
-    kinds = _TABLE_KINDS[config.table]
-    cells: dict[tuple[str, int], ZeroRecord | Exception] = {}
+    kinds = _TABLE_KINDS[args.table]
+    cells: dict[tuple[FunctionKind, int], ZeroRecord | Exception] = {}
     code = _EXIT_OK
     for kind in kinds:
         # One coefficient set per kind; a cell that cannot build it records
@@ -173,46 +155,31 @@ def cmd_table(config: RunConfig, out) -> int:
         for n in _TABLE_NS:
             try:
                 if estimate_of is None:
-                    estimate_of = _estimator(kind, config.x, 3)
-                cells[kind.value, n] = refine_zero(kind, n, config.x,
-                                                   estimate_of(n), config.tol)
+                    estimate_of = _estimator(kind, args.x, 3)
+                cells[kind, n] = refine_zero(kind, n, args.x, estimate_of(n),
+                                             args.tol)
             except (DomainError, ConvergenceError) as exc:
-                cells[kind.value, n] = exc
+                cells[kind, n] = exc
                 code = max(code, _exit_code_for(exc))
                 sys.stderr.write(f"error: {kind.value} n={n}: {exc}\n")
 
-    if config.format == "json":
-        payload = []
-        for kind in kinds:
-            for n in _TABLE_NS:
-                cell = cells[kind.value, n]
-                if isinstance(cell, Exception):
-                    payload.append({"kind": kind.value, "n": n,
-                                    "x": config.x, "error": str(cell)})
-                else:
-                    payload.append(_record_json(cell))
-        out.write(json.dumps(payload) + "\n")
-    elif config.format == "csv":
-        lines = [CSV_HEADER]
-        for kind in kinds:
-            for n in _TABLE_NS:
-                cell = cells[kind.value, n]
-                if isinstance(cell, Exception):
-                    lines.append(f"{kind.value},{n},{config.x!r},"
-                                 f"error,error,error")
-                else:
-                    lines.append(_record_csv(cell))
-        out.write("\n".join(lines) + "\n")
+    if args.format != "text":
+        # The cells were filled kind by kind and n by n, the order of rows.
+        rows = [_table_cell(kind, n, args.x, cell, args.format)
+                for (kind, n), cell in cells.items()]
+        body = (json.dumps(rows) if args.format == "json"
+                else "\n".join([CSV_HEADER] + rows))
+        out.write(body + "\n")
     else:
         a, b = kinds
-        out.write(f"Table {config.table} (x = {config.x!r})\n")
+        out.write(f"Table {args.table} (x = {args.x!r})\n")
         out.write(f"{'n':>4} {a.value + ' zero':>12} "
                   f"{a.value + ' asymptotic':>14} {b.value + ' zero':>12} "
                   f"{b.value + ' asymptotic':>14}\n")
         for n in _TABLE_NS:
             row = [f"{n:>4}"]
             for kind, w in ((a, 12), (b, 12)):
-                cell = cells[kind.value, n]
+                cell = cells[kind, n]
                 if isinstance(cell, Exception):
                     row.append(f"{'error':>{w}} {'error':>14}")
                 else:
@@ -222,15 +189,15 @@ def cmd_table(config: RunConfig, out) -> int:
     return code
 
 
-def cmd_coeffs(config: RunConfig, out) -> int:
+def cmd_coeffs(args: argparse.Namespace, out) -> int:
     """Dump the coefficient pipeline (C, a, A and per-n b, B) as JSON."""
-    kind = FunctionKind.coerce(config.kind)
-    if config.n is not None:
-        ns = [_positive_int("n", config.n)]
+    kind = FunctionKind.coerce(args.kind)
+    if args.n is not None:
+        ns = [_positive_int("n", args.n)]
     else:
-        ns = range(1, _positive_int("n_max", config.n_max) + 1)
-    coeffs = coefficient_set(config.x, kind.family)
-    lambda_ = 2.0 / (math.e * config.x)
+        ns = range(1, _positive_int("n_max", args.n_max) + 1)
+    coeffs = coefficient_set(args.x, kind.family)
+    lambda_ = 2.0 / (math.e * args.x)
     per_n = []
     for n in ns:
         m = kind.m_value(n)
@@ -245,7 +212,7 @@ def cmd_coeffs(config: RunConfig, out) -> int:
         })
     payload = {
         "kind": kind.value,
-        "x": config.x,
+        "x": args.x,
         "family": coeffs.family,
         "chi": coeffs.chi,
         "C": list(coeffs.C),
@@ -270,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--nu", required=True, type=float)
     p_eval.add_argument("--x", type=float, default=1.0)
     p_eval.add_argument("--format", choices=["text", "json"], default="text")
+    p_eval.set_defaults(run=cmd_eval)
 
     p_zeros = sub.add_parser("zeros", help="compute and refine nu-zeros")
     p_zeros.add_argument("--kind", required=True, choices=_KIND_CHOICES)
@@ -280,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeros.add_argument("--tol", type=float, default=1e-12)
     p_zeros.add_argument("--format", choices=["text", "csv", "json"],
                          default="text")
+    p_zeros.set_defaults(run=cmd_zeros)
 
     p_table = sub.add_parser("table", help="reproduce a reference table")
     p_table.add_argument("--table", type=int, choices=[1, 2], default=1)
@@ -287,12 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--tol", type=float, default=1e-12)
     p_table.add_argument("--format", choices=["text", "csv", "json"],
                          default="text")
+    p_table.set_defaults(run=cmd_table)
 
     p_coeffs = sub.add_parser("coeffs", help="dump the coefficient pipeline")
     p_coeffs.add_argument("--kind", required=True, choices=_KIND_CHOICES)
     p_coeffs.add_argument("--x", type=float, default=1.0)
     p_coeffs.add_argument("--n", type=int, default=None)
     p_coeffs.add_argument("--n-max", type=int, default=5)
+    p_coeffs.set_defaults(run=cmd_coeffs)
 
     return parser
 
@@ -303,27 +274,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {"command": args.command}
-    for name in ("kind", "nu", "x", "n", "n_max", "order", "tol", "format",
-                 "table"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    return RunConfig(**fields)
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     args = _parser().parse_args(argv)
-    config = _config_from_args(args)
-    command = {
-        "eval": cmd_eval,
-        "zeros": cmd_zeros,
-        "table": cmd_table,
-        "coeffs": cmd_coeffs,
-    }[config.command]
     try:
-        code = command(config, sys.stdout)
+        code = args.run(args, sys.stdout)
         sys.stdout.flush()
         return code
     except (DomainError, ConvergenceError) as exc:

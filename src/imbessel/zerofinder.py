@@ -158,7 +158,12 @@ def _estimate(kind: FunctionKind, n: int, x: float, order: int,
               A: list[float]) -> ZeroEstimate:
     # The estimate for validated arguments, from the A coefficients of
     # coefficient_set(x, kind.family).
-    m = kind.m_value(n)
+    try:
+        m = kind.m_value(n)
+        m3, m5 = m ** 3, m ** 5
+    except OverflowError as exc:
+        raise DomainError(f"the estimate of {kind.value} n={n} x={x!r} "
+                          f"overflows a float") from exc
     lambda_ = 2.0 / (math.e * x)
     xi = leading_xi(m, lambda_)
     threshold = max(2.0, x)
@@ -168,8 +173,8 @@ def _estimate(kind: FunctionKind, n: int, x: float, order: int,
     B0, B1, B2 = correction_coefficients(A, xi, m).B
     p0 = xi
     p1 = p0 + B0 / m
-    p2 = p1 + B1 / m ** 3
-    p3 = p2 + B2 / m ** 5
+    p2 = p1 + B1 / m3
+    p3 = p2 + B2 / m5
     return ZeroEstimate(kind, n, float(x), m, lambda_, xi,
                         (p0, p1, p2, p3), order)
 

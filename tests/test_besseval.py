@@ -11,8 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from imbessel import (NU_MIN, ConvergenceError, DomainError, FunctionKind,
-                      ScaledReal, detection_value, eval_function, phase,
-                      recip_gamma_prefactor, series_sum)
+                      ScaledReal, detection_value, eval_function, log_gamma,
+                      phase, recip_gamma_prefactor, series_sum)
 
 import imbessel.besseval as besseval
 import imbessel.cgamma as cgamma
@@ -55,9 +55,9 @@ def test_plain_edge_cases():
 
 def _scaled(nu, x, family):
     # I (modified) or J (ordinary) at order i nu as unit_phase * series_sum
-    # and the log of the positive factor exp(log_scale) stripped from it.
-    unit_phase, log_scale = recip_gamma_prefactor(nu, x)
-    return unit_phase * series_sum(nu, x, family), log_scale
+    # and the log of the prefactor modulus, -Re log Gamma(1 + i nu).
+    unit = recip_gamma_prefactor(nu, x) * series_sum(nu, x, family)
+    return unit, -log_gamma(complex(1.0, nu)).real
 
 
 def test_unit_value_multiplies_phase_and_series():
@@ -127,10 +127,10 @@ def test_series_sum_is_bit_identical_to_the_complex_per_term_form(
 def test_eval_function_is_bit_identical_to_normalizing_a_built_value(
         kind, nu, x):
     # The value built unnormalized and then normalized, as first written.
-    unit_phase, log_scale = recip_gamma_prefactor(nu, x)
-    unit = unit_phase * _series_sum_reference(nu, x, kind.family)
+    unit = (recip_gamma_prefactor(nu, x)
+            * _series_sum_reference(nu, x, kind.family))
     part = kind.sign * (unit.imag if kind.imaginary else unit.real)
-    want = ScaledReal(part, log_scale + kind.log_weight(nu)).normalized()
+    want = ScaledReal(part, kind.log_scale(nu)).normalized()
     assert eval_function(kind, nu, x) == want
 
 
@@ -228,13 +228,37 @@ def _mpmath_value(kind, nu, x):
     for nu in (0.5, 3.0, 7.3, 19.5, 20.5, 45.0) if nu >= x])
 @pytest.mark.parametrize("kind", ["L", "K", "F", "G"])
 def test_eval_function_matches_mpmath(kind, nu, x):
-    # Both sides of the log-space switch of the weights (nu = 20), checking
-    # each kind's family, component, sign and weight against mpmath.
+    # Orders on both sides of nu = 20, checking each kind's family,
+    # component, sign and scale against mpmath.
     with mp.workdps(40):
         want = _mpmath_value(kind, nu, x)
         value = eval_function(kind, nu, x)
         got = mp.mpf(value.mantissa) * mp.exp(value.log_scale)
         assert abs(got - want) <= 1e-11 * abs(want), f"{got} vs {want}"
+
+
+def _mpmath_log_scale(kind, nu):
+    # -Re log Gamma(1 + i nu) plus the log of the kind's hyperbolic weight.
+    nu = mp.mpf(repr(nu))
+    weight = {"L": mp.pi / mp.sinh(mp.pi * nu),
+              "K": mp.pi / mp.sinh(mp.pi * nu),
+              "F": 1 / mp.cosh(mp.pi * nu / 2),
+              "G": 1 / mp.sinh(mp.pi * nu / 2)}[kind]
+    return -mp.re(mp.loggamma(1 + 1j * nu)) + mp.log(weight)
+
+
+@pytest.mark.parametrize("kind", list(FunctionKind))
+def test_closed_form_log_scale_matches_mpmath(kind):
+    # Quarter decades over nu in [1e-3, 1e3], plus orders on both sides of
+    # nu = 20. The scale is the log of the value's modulus, so near the
+    # scale's own zero (L and K at nu ~ 0.6, F as nu -> 0) the bound holds
+    # its absolute error, which is the value's relative error, to 1e-12.
+    nus = [10.0 ** (k / 4) for k in range(-12, 13)] + [19.5, 20.0, 20.5]
+    with mp.workdps(40):
+        for nu in nus:
+            want = float(_mpmath_log_scale(kind.value, nu))
+            assert math.isclose(kind.log_scale(nu), want, rel_tol=1e-12,
+                                abs_tol=1e-12), nu
 
 
 def test_detection_value_crosses_zero_with_k():

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from imbessel import (STIRLING_COEFFICIENTS, DomainError, log_gamma,
-                      recip_gamma_prefactor)
+from imbessel import (STIRLING_COEFFICIENTS, DomainError, FunctionKind,
+                      log_gamma, recip_gamma_prefactor)
 
 from golden import fnum
 
@@ -125,22 +125,27 @@ def test_log_gamma_is_bit_identical_to_the_looped_stirling_sum(re, im):
        st.floats(min_value=1e-3, max_value=100.0))
 def test_prefactor_is_bit_identical_to_the_complex_form(nu, x):
     w = 1j * nu * math.log(0.5 * x) - log_gamma(complex(1.0, nu))
-    assert recip_gamma_prefactor(nu, x) == (cmath.exp(1j * w.imag), w.real)
+    assert recip_gamma_prefactor(nu, x) == cmath.exp(1j * w.imag)
 
 
 def test_prefactor_phase_has_unit_modulus():
     for nu in (0.5, 2.962549, 10.0, 50.0):
         for x in (0.5, 1.0, 2.0):
-            unit_phase, log_magnitude = recip_gamma_prefactor(nu, x)
-            assert abs(abs(unit_phase) - 1.0) <= 1e-15
-            assert math.isfinite(log_magnitude)
+            assert abs(abs(recip_gamma_prefactor(nu, x)) - 1.0) <= 1e-15
 
 
 def test_prefactor_magnitude_grows_like_half_pi_nu():
-    # At nu = 50 the prefactor modulus is ~ e^{pi nu / 2} / sqrt(2 pi nu),
-    # so its log sits near 75.
-    _, log_magnitude = recip_gamma_prefactor(50.0, 1.0)
-    assert 70.0 <= log_magnitude <= 80.0
+    # The prefactor modulus is carried by each kind's closed-form scale. At
+    # nu = 50 it is ~ e^{pi nu / 2} / sqrt(2 pi nu), so its log, the scale
+    # less the log of the kind's hyperbolic weight, sits near 75.
+    nu = 50.0
+    u = 0.5 * math.pi * nu
+    log_weight = {"L": math.log(math.pi / math.sinh(2.0 * u)),
+                  "K": math.log(math.pi / math.sinh(2.0 * u)),
+                  "F": -math.log(math.cosh(u)), "G": -math.log(math.sinh(u))}
+    for kind in FunctionKind:
+        log_magnitude = kind.log_scale(nu) - log_weight[kind.value]
+        assert 70.0 <= log_magnitude <= 80.0, kind
 
 
 @pytest.mark.parametrize("nu,x", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),

@@ -15,9 +15,8 @@ import pytest
 
 import imbessel.cli as cli
 import imbessel.zerofinder as zerofinder
-from imbessel import (BracketingError, EnumerationError, RunConfig,
-                      coefficient_set, correction_coefficients, leading_xi,
-                      main)
+from imbessel import (BracketingError, EnumerationError, coefficient_set,
+                      correction_coefficients, leading_xi, main)
 
 from golden import NS, TABLE_KINDS, TABLE_ZERO, dp6, fnum
 
@@ -51,11 +50,18 @@ def _table_row(out: str, n: int) -> list[str]:
     raise AssertionError(f"no row for n = {n} in output:\n{out}")
 
 
-def test_run_config_defaults():
-    config = RunConfig(command="eval")
-    assert (config.kind, config.nu, config.n) == (None, None, None)
-    assert (config.x, config.n_max, config.order) == (1.0, 5, 3)
-    assert (config.tol, config.format, config.table) == (1e-12, "text", 1)
+def test_parser_defaults_reproduce_the_reference_setting():
+    parse = cli.build_parser().parse_args
+    zeros = parse(["zeros", "--kind", "L"])
+    assert (zeros.x, zeros.n, zeros.n_max, zeros.order) == (1.0, None, 5, 3)
+    assert (zeros.tol, zeros.format) == (1e-12, "text")
+    table = parse(["table"])
+    assert (table.table, table.x, table.tol, table.format) == \
+        (1, 1.0, 1e-12, "text")
+    evaluate = parse(["eval", "--kind", "K", "--nu", "2"])
+    assert (evaluate.x, evaluate.format) == (1.0, "text")
+    coeffs = parse(["coeffs", "--kind", "F"])
+    assert (coeffs.x, coeffs.n, coeffs.n_max) == (1.0, None, 5)
 
 
 def test_table1_text_layout_and_zero_columns(capsys):
@@ -357,6 +363,15 @@ def test_zeros_past_the_float_resolution_exits_2(capsys):
     assert err == ("error: estimate nu = 8633691213897485.0 -+ 0.05 rounds "
                    "onto the estimate: L n=100000000000000000 x=1.0 is past "
                    "the float resolution\n")
+
+
+def test_zeros_with_an_n_whose_estimate_overflows_exits_2(capsys):
+    n = str(10 ** 100)
+    code, out, err = _run(capsys, ["zeros", "--kind", "L", "--n", n])
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: the estimate of L n={n} x=1.0 overflows a "
+                   f"float\n")
 
 
 def test_zeros_bracketing_failure_exits_3(capsys, monkeypatch):

@@ -446,6 +446,15 @@ def test_an_estimate_past_the_float_resolution_raises_before_evaluating(
     assert calls == []
 
 
+@pytest.mark.parametrize("kind", ["L", "K", "F", "G"])
+@pytest.mark.parametrize("n", [10 ** 62, 10 ** 100, 10 ** 400],
+                         ids=["1e62", "1e100", "1e400"])
+def test_an_n_whose_estimate_overflows_a_float_raises_domain_error(kind, n):
+    # m^5 overflows from n = 1e62 and m itself past 1e308.
+    with pytest.raises(DomainError, match="overflows a float"):
+        asymptotic_zero(kind, n, 1.0)
+
+
 def test_the_checked_bracket_is_reused_for_the_first_width(monkeypatch):
     # K n = 1 at x = 1 is not probed and changes sign within nu_hat -+ h, so
     # that bracket is checked against the phase window once.
