@@ -184,8 +184,12 @@ class FunctionKind(enum.Enum):
         return member
 
     def m_value(self, n: int) -> float:
-        """The quantized phase target m for the nth zero."""
-        return (n + self.quarter) * math.pi
+        """The phase target m of the nth zero; DomainError if it overflows."""
+        try:
+            return (n + self.quarter) * math.pi
+        except OverflowError as exc:
+            raise DomainError(f"the phase target m of {self.value} n={n} "
+                              f"overflows a float") from exc
 
     def phase_target(self, n: int) -> float:
         """Where Phi sits at the nth zero: (n + 1/2) pi for L, F; n pi else."""

@@ -14,8 +14,10 @@ zero, and closes in on it with Brent-Dekker's zeroin started from the
 estimate. The sign of that value at the estimate says on which side of it
 the zero lies: only the bracket end across the zero is evaluated, far out
 first one solver stopping step away, which proves the zero in two
-evaluations, and no sign change there raises. The coefficient set depends
-on x and the family only, so an enumeration builds it once for all zeros.
+evaluations, and no sign change there raises. The zero is the solver's best
+evaluated point of the closed bracket, so its residual costs no evaluation.
+The coefficient set depends on x and the family only, so an enumeration
+builds it once for all zeros.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .asymcoeff import coefficient_set, correction_coefficients
-from .besseval import (FunctionKind, ScaledReal, detection_value,
-                       eval_function)
+from .besseval import FunctionKind, ScaledReal, detection_value
 from .errors import (BracketingError, ConvergenceError, DomainError,
                      EnumerationError, UnreliableAsymptoticsError)
 from .lambertw import lambert_w0
@@ -77,9 +78,10 @@ class ZeroRecord:
     function values at its ends measure the local scale the final residual is
     judged against. It is the half bracket between the estimate and the end
     across the zero, or the whole bracket around the estimate when the
-    estimate is the zero to rounding; the refined zero lies strictly inside
-    it; where the probe stage confirmed the zero it is one or two solver
-    stopping steps wide, about 1e-12.
+    estimate is the zero to rounding. nu_refined is an evaluated point of the
+    closed bracket, maybe an end, and residual equals eval_function there but
+    reuses the solver's detection value; where the probe stage confirmed the
+    zero the bracket is one solver stopping step wide, under 1e-12.
     partial carries the estimate's four cumulative sums.
     """
 
@@ -200,15 +202,16 @@ def _inside_phase_window(lo: float, hi: float,
 
 
 def _brent(g: Callable[[float], float], a: float, b: float, fa: float,
-           fb: float, tol: float) -> float:
+           fb: float, tol: float) -> tuple[float, float]:
     """Brent-Dekker zeroin on [a, b], where g(a) and g(b) differ in sign.
 
     Each step takes inverse quadratic or secant interpolation when it lands
     well inside the bracket and shrinks it fast enough, and a bisection step
     otherwise (Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 4). Stops once the bracket half-width is at most 2 eps |b| + tol / 2
-    and returns the secant point of that bracket, or returns b as soon as
-    g(b) == 0.0.
+    ch. 4). Returns (b, g(b)) for the best evaluated iterate b, the one with
+    the smallest |g| at an end of the current bracket, once g(b) == 0.0 or
+    the bracket half-width is at most 2 eps |b| + tol / 2. b lies in the
+    closed starting bracket and may be one of its ends.
     """
     c, fc = a, fa
     d = e = b - a
@@ -219,13 +222,8 @@ def _brent(g: Callable[[float], float], a: float, b: float, fa: float,
             fa, fb, fc = fb, fc, fb
         tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
         xm = 0.5 * (c - b)
-        if fb == 0.0:
-            return b
-        if abs(xm) <= tol1:
-            # The secant point of the final bracket costs no evaluation and
-            # lies strictly inside it, even when tol is coarser than the
-            # starting bracket and b is still one of its ends.
-            return b - fb * (c - b) / (fc - fb)
+        if fb == 0.0 or abs(xm) <= tol1:
+            return b, fb
         if abs(e) >= tol1 and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:
@@ -268,26 +266,20 @@ def _straddles(g_a: float, g_b: float) -> bool:
 
 
 def _half_bracket(g: Callable[[float], float], lo: float, hi: float,
-                  nu_hat: float, g_hat: float, sign_above: float,
-                  tol: float) -> tuple[float, tuple[float, float]] | None:
-    # Solve on the half of [lo, hi] that the sign of g_hat puts across the
-    # zero; (nu_refined, bracket), or None when the predicted end shows no
-    # sign change, the zero is that end to rounding, or the far end does not
-    # confirm a zero at the estimate, as _brent returns when g_hat is 0.0.
+                  nu_hat: float, g_hat: float, sign_above: float, tol: float
+                  ) -> tuple[float, float, tuple[float, float]] | None:
+    # Solve on the closed half of [lo, hi] that the sign of g_hat puts across
+    # the zero; (nu_refined, g(nu_refined), bracket), or None when the
+    # predicted end shows no sign change. A zero at the estimate, g_hat 0.0,
+    # needs the far end to bracket it with ends that change sign.
     end, far = (lo, hi) if (g_hat > 0.0) == (sign_above > 0.0) else (hi, lo)
     g_end = g(end)
-    if g_hat != 0.0 and not _straddles(g_end, g_hat):
+    if g_hat == 0.0:
+        return (nu_hat, g_hat, (lo, hi)) if _straddles(g_end, g(far)) else None
+    if not _straddles(g_end, g_hat):
         return None
-    nu_refined = _brent(g, end, nu_hat, g_end, g_hat, tol)
-    if nu_refined == end:  # only in a probe bracket; leave it to a wider one
-        return None
-    if nu_refined != nu_hat:
-        return nu_refined, (min(end, nu_hat), max(end, nu_hat))
-    # The zero is the estimate to rounding, an end of the half bracket; the
-    # far end puts it strictly inside one whose ends change sign.
-    if not _straddles(g_end, g(far)):
-        return None
-    return nu_refined, (lo, hi)
+    return (*_brent(g, end, nu_hat, g_end, g_hat, tol),
+            (min(end, nu_hat), max(end, nu_hat)))
 
 
 def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
@@ -304,11 +296,13 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
     `tol` (plus a few ulps) wide. The widths tried are one solver stopping
     step, if the last correction is below _PROBE_STEPS of them, then h
     doubled up to _MAX_EXPANSIONS times. An estimate where g is exactly 0.0
-    is the zero once both ends of a bracket change sign. Raises DomainError
-    when nu_hat -+ h rounds onto nu_hat, past the float resolution, and
-    BracketingError, which signals an invalid estimate, for an estimate
-    outside its clamped bracket, both before any evaluation, and when no
-    width shows a sign change.
+    is the zero once both ends of a bracket change sign. The zero returned
+    is the solver's best evaluated point, whose residual costs no evaluation.
+    Raises DomainError for tol outside (0, inf) or when nu_hat -+ h rounds
+    onto nu_hat, past the float resolution, and BracketingError, which
+    signals an invalid estimate, for an estimate outside its clamped
+    bracket, both before any evaluation, and when no width shows a sign
+    change.
     """
     kind = FunctionKind.coerce(kind)
     if (estimate.kind is not kind or estimate.n != n
@@ -316,8 +310,8 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
         raise DomainError(
             f"estimate {estimate.kind.value}/n={estimate.n}/x={estimate.x!r} "
             f"does not match request {kind.value}/n={n}/x={x!r}")
-    if not (tol > 0.0):
-        raise DomainError(f"refine_zero requires tol > 0, got {tol!r}")
+    if not (0.0 < tol < math.inf):
+        raise DomainError(f"refine_zero requires finite tol > 0, got {tol!r}")
 
     def g(nu: float) -> float:
         return detection_value(kind, nu, x)
@@ -365,12 +359,13 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
             f"no sign change of the detection value for "
             f"{kind.value} n={n} x={x!r}", (lo, hi))
 
-    nu_refined, bracket = found
+    nu_refined, g_refined, bracket = found
+    residual = ScaledReal(g_refined, kind.log_scale(nu_refined))
     nu_asymptotic = estimate.nu
     return ZeroRecord(
         kind=kind, n=n, x=float(x), nu_asymptotic=nu_asymptotic,
         nu_refined=nu_refined, discrepancy=abs(nu_asymptotic - nu_refined),
-        bracket=bracket, residual=eval_function(kind, nu_refined, x),
+        bracket=bracket, residual=residual.normalized(),
         partial=estimate.partial)
 
 

@@ -374,6 +374,23 @@ def test_zeros_with_an_n_whose_estimate_overflows_exits_2(capsys):
                    f"float\n")
 
 
+def test_coeffs_with_an_n_whose_phase_target_overflows_exits_2(capsys):
+    # n + 1/4 cannot be a float past 1e308; zeros fails the same way.
+    n = str(10 ** 400)
+    want = f"error: the phase target m of L n={n} overflows a float\n"
+    for command in ("coeffs", "zeros"):
+        got = _run(capsys, [command, "--kind", "L", "--n", n])
+        assert got == (2, "", want), command
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_zeros_with_a_tolerance_outside_0_inf_exits_2(capsys, tol):
+    code, out, err = _run(capsys, ["zeros", "--kind", "K", "--n", "3",
+                                   f"--tol={tol}"])
+    assert (code, out) == (2, "")
+    assert "refine_zero requires finite tol > 0" in err
+
+
 def test_zeros_bracketing_failure_exits_3(capsys, monkeypatch):
     def fake(kind, x, n_max, order, tol):
         try:
