@@ -9,13 +9,14 @@ A2/nu^5 around the leading solution xi.
 
 The ordinary family (J-based functions F, G) uses the same machinery with the
 C_k evaluated at -chi. All coefficients are n-independent, so a CoefficientSet
-is built once per (x, family) and reused for every zero index.
+is built once per (x, family) and reused for every zero index. Both records
+are immutable NamedTuples, equal to plain tuples of their values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cgamma import STIRLING_COEFFICIENTS
 from .errors import DomainError
@@ -30,8 +31,7 @@ _FAMILIES = ("modified", "ordinary")
 _GAMMA = tuple(float(g) for g in STIRLING_COEFFICIENTS)
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
+class CoefficientSet(NamedTuple):
     """The n-independent coefficients for one (x, family) pair.
 
     C holds C_k evaluated at chi for the modified family and at -chi for the
@@ -47,8 +47,7 @@ class CoefficientSet:
     A: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class CorrectionCoefficients:
+class CorrectionCoefficients(NamedTuple):
     """Correction coefficients of the zero expansion around xi.
 
     b_k multiply inverse powers of xi, B_k the matching inverse powers of m;
@@ -162,5 +161,4 @@ def coefficient_set(x: float, family: str) -> CoefficientSet:
     if not finite:
         raise DomainError(
             f"coefficient_set cannot form finite coefficients at x = {x!r}")
-    return CoefficientSet(x=x, chi=chi, family=family, C=tuple(C),
-                          a=tuple(a), A=tuple(A))
+    return CoefficientSet(x, chi, family, tuple(C), tuple(a), tuple(A))

@@ -22,7 +22,8 @@ offset of its zeros, and both evaluators and the zero finder read them there.
 
 Zeros in nu are located on the unit-normalized value unit_phase * series_sum:
 the positive scale can neither create nor destroy sign changes, and
-stripping it avoids underflow at large nu.
+stripping it avoids underflow at large nu. ScaledReal is an immutable
+NamedTuple (mantissa, log_scale): it unpacks and equals a plain tuple.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cgamma import recip_gamma_prefactor
 from .errors import ConvergenceError, DomainError
@@ -51,8 +52,7 @@ _MANTISSA_LO = 1.0 / math.e
 _MANTISSA_HI = math.e
 
 
-@dataclass(frozen=True)
-class ScaledReal:
+class ScaledReal(NamedTuple):
     """A real value stored as mantissa * exp(log_scale).
 
     Normalization keeps the mantissa in [-e, -1/e], {0}, or [1/e, e], so the
@@ -104,8 +104,8 @@ def series_sum(nu: float, x: float, family: str,
         raise DomainError(f"series_sum requires finite x > 0, got {x!r}")
     if not (-math.inf < nu < math.inf):
         raise DomainError(f"series_sum requires finite nu, got {nu!r}")
-    if not (tol > 0.0):
-        raise DomainError(f"series_sum requires tol > 0, got {tol!r}")
+    if not (0.0 < tol < math.inf):
+        raise DomainError(f"series_sum requires finite tol > 0, got {tol!r}")
     if family == "modified":
         z = (0.5 * x) ** 2
     elif family == "ordinary":

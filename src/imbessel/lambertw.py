@@ -4,12 +4,13 @@ Solves w * e^w = z for w >= 0, the leading-order zero equation
 xi * log(lambda * xi) = m after the substitution xi = m / W(lambda * m).
 Halley iteration from a piecewise initial guess converges cubically; the
 solved residual is returned alongside w so callers can assert solver health.
+WResult (w, residual) is an immutable NamedTuple, equal to a plain tuple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
 
@@ -20,8 +21,7 @@ _INV_E = 1.0 / math.e
 _MAX_ITER = 50
 
 
-@dataclass(frozen=True)
-class WResult:
+class WResult(NamedTuple):
     """Solution w of w * e^w = z together with the defect |w e^w - z|."""
 
     w: float

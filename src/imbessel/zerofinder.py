@@ -18,16 +18,20 @@ evaluations, and no sign change there raises. The zero is the solver's best
 evaluated point of the closed bracket, so its residual costs no evaluation.
 The coefficient set depends on x and the family only, so an enumeration
 builds it once for all zeros.
+
+ZeroEstimate and ZeroRecord, like every record of the package, are immutable
+typing.NamedTuples: a record unpacks and indexes as a tuple, equals a plain
+tuple of its values, and has _replace and _asdict where dataclasses.replace
+and dataclasses.asdict no longer apply.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .asymcoeff import coefficient_set, correction_coefficients
-from .besseval import FunctionKind, ScaledReal, detection_value
+from .besseval import FunctionKind, ScaledReal, _normalized, detection_value
 from .errors import (BracketingError, ConvergenceError, DomainError,
                      EnumerationError, UnreliableAsymptoticsError)
 from .lambertw import lambert_w0
@@ -48,8 +52,7 @@ _EPS = math.ulp(1.0)
 _PROBE_STEPS = 100.0
 
 
-@dataclass(frozen=True)
-class ZeroEstimate:
+class ZeroEstimate(NamedTuple):
     """Asymptotic estimate data for one zero.
 
     partial holds the cumulative sums xi, xi + B0/m, xi + B0/m + B1/m^3,
@@ -70,8 +73,7 @@ class ZeroEstimate:
         return self.partial[self.order]
 
 
-@dataclass(frozen=True)
-class ZeroRecord:
+class ZeroRecord(NamedTuple):
     """One refined zero: estimate, refined value, and refinement evidence.
 
     bracket is the sign-changing interval the solver started from, so the
@@ -139,7 +141,7 @@ def asymptotic_zero(kind: object, n: int, x: float,
 
 def _positive_int(name: str, value: object) -> int:
     # The one check and message for a zero index or count.
-    if not (isinstance(value, int) and value >= 1):
+    if not (isinstance(value, int) and type(value) is not bool and value >= 1):
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
     return value
 
@@ -298,13 +300,14 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
     doubled up to _MAX_EXPANSIONS times. An estimate where g is exactly 0.0
     is the zero once both ends of a bracket change sign. The zero returned
     is the solver's best evaluated point, whose residual costs no evaluation.
-    Raises DomainError for tol outside (0, inf) or when nu_hat -+ h rounds
-    onto nu_hat, past the float resolution, and BracketingError, which
-    signals an invalid estimate, for an estimate outside its clamped
-    bracket, both before any evaluation, and when no width shows a sign
-    change.
+    Raises DomainError for an n that is not a positive integer, for tol
+    outside (0, inf) or when nu_hat -+ h rounds onto nu_hat, past the float
+    resolution, and BracketingError, which signals an invalid estimate, for
+    an estimate outside its clamped bracket, both before any evaluation,
+    and when no width shows a sign change.
     """
     kind = FunctionKind.coerce(kind)
+    _positive_int("n", n)
     if (estimate.kind is not kind or estimate.n != n
             or estimate.x != float(x)):
         raise DomainError(
@@ -360,13 +363,11 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
             f"{kind.value} n={n} x={x!r}", (lo, hi))
 
     nu_refined, g_refined, bracket = found
-    residual = ScaledReal(g_refined, kind.log_scale(nu_refined))
     nu_asymptotic = estimate.nu
-    return ZeroRecord(
-        kind=kind, n=n, x=float(x), nu_asymptotic=nu_asymptotic,
-        nu_refined=nu_refined, discrepancy=abs(nu_asymptotic - nu_refined),
-        bracket=bracket, residual=residual.normalized(),
-        partial=estimate.partial)
+    return ZeroRecord(kind, n, estimate.x, nu_asymptotic, nu_refined,
+                      abs(nu_asymptotic - nu_refined), bracket,
+                      _normalized(g_refined, kind.log_scale(nu_refined)),
+                      estimate.partial)
 
 
 def enumerate_zeros(kind: object, x: float, n_max: int,

@@ -172,6 +172,14 @@ def test_series_validates_arguments(bad_call):
         bad_call()
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_series_rejects_a_tolerance_that_is_not_finite(tol):
+    # tol = inf once stopped after the first ratio: 1.0865-0.4327j at
+    # nu = 5, x = 3, where the sum is 0.9985-0.4768j.
+    with pytest.raises(DomainError, match="finite tol > 0"):
+        series_sum(5.0, 3.0, "modified", tol=tol)
+
+
 def test_series_convergence_failure_is_reachable_for_the_ordinary_family():
     # At x = 670 the alternating series loses ~290 digits to cancellation,
     # so the term/total ratio stalls above tolerance; the same x converges

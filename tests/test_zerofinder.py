@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -11,8 +10,8 @@ from imbessel import (BracketingError, DomainError, EnumerationError,
                       FunctionKind, UnreliableAsymptoticsError, ZeroEstimate,
                       asymptotic_zero, coefficient_set,
                       correction_coefficients, detection_value,
-                      enumerate_zeros, eval_function, leading_xi,
-                      leading_zero, phase, refine_zero)
+                      enumerate_zeros, eval_function, lambert_w0,
+                      leading_xi, leading_zero, phase, refine_zero)
 
 import imbessel.besseval as besseval
 import imbessel.zerofinder as zerofinder
@@ -540,12 +539,22 @@ def test_a_tolerance_coarser_than_the_bracket_still_lands_inside_it():
             kind
 
 
-def test_record_brackets_straddle_a_sign_change(records_x1):
-    for (kind, n), record in records_x1.items():
+def test_record_brackets_straddle_a_sign_change(records_x1, refined_to_500):
+    # The enclosure is closed: the zero may be a bracket end, as most of the
+    # 8,000 zeros at x <= 4 are, but the ends always change sign.
+    rows = [(FunctionKind.coerce(kind), 1.0, record)
+            for (kind, _), record in records_x1.items()]
+    rows += _refined_at_most_x4(refined_to_500)
+    assert len(rows) == 8032
+    ends = 0
+    for kind, x, record in rows:
         lo, hi = record.bracket
-        assert lo < record.nu_refined < hi, f"{kind} n={n}"
-        assert detection_value(kind, lo, 1.0) * \
-            detection_value(kind, hi, 1.0) <= 0.0, f"{kind} n={n}"
+        where = f"{kind.value} n={record.n} x={x}"
+        assert lo <= record.nu_refined <= hi, where
+        assert detection_value(kind, lo, x) * \
+            detection_value(kind, hi, x) < 0.0, where
+        ends += record.nu_refined in (lo, hi)
+    assert ends > 0
 
 
 def test_record_residuals_are_small_on_the_bracket_scale(records_x1):
@@ -623,6 +632,47 @@ def test_enumerate_validates_n_max(n_max):
         enumerate_zeros("K", 1.0, n_max)
 
 
+def test_a_bool_is_not_a_zero_index():
+    # bool is an int subclass, so True once passed as n = 1.
+    with pytest.raises(DomainError, match="positive integer, got True"):
+        asymptotic_zero("K", True, 1.0)
+    with pytest.raises(DomainError, match="positive integer, got True"):
+        enumerate_zeros("K", 1.0, True)
+    estimate = asymptotic_zero("K", 1, 1.0)
+    for n in (True, 1.0):
+        with pytest.raises(DomainError, match="positive integer"):
+            refine_zero("K", n, 1.0, estimate)
+
+
+def _one_record_of_each_type():
+    estimate = asymptotic_zero("K", 3, 1.0)
+    coefficients = coefficient_set(1.0, "modified")
+    return (eval_function("K", 3.0, 1.0), lambert_w0(2.0), coefficients,
+            correction_coefficients(coefficients.A, estimate.xi, estimate.m),
+            estimate, refine_zero("K", 3, 1.0, estimate))
+
+
+def test_records_reject_attribute_assignment():
+    records = _one_record_of_each_type()
+    assert [type(record).__name__ for record in records] == [
+        "ScaledReal", "WResult", "CoefficientSet", "CorrectionCoefficients",
+        "ZeroEstimate", "ZeroRecord"]
+    for record in records:
+        for name in record._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
+        assert record == tuple(record)
+
+
+def test_zero_record_fields_are_the_documented_ones_in_order():
+    assert zerofinder.ZeroRecord._fields == (
+        "kind", "n", "x", "nu_asymptotic", "nu_refined", "discrepancy",
+        "bracket", "residual", "partial")
+    assert ZeroEstimate._fields == (
+        "kind", "n", "x", "m", "lambda_", "xi", "partial", "order")
+    assert ZeroEstimate._field_defaults == {"order": 3}
+
+
 def test_enumerate_abort_attaches_completed_records():
     with pytest.raises(EnumerationError) as info:
         enumerate_zeros("L", 0.05, 3)
@@ -639,9 +689,10 @@ def test_enumerate_matches_refining_each_estimate(kind, x):
     for record in records:
         n = record.n
         want = refine_zero(kind, n, x, asymptotic_zero(kind, n, x))
-        for field in dataclasses.fields(want):
-            assert getattr(record, field.name) == \
-                getattr(want, field.name), f"{kind} n={n} {field.name}"
+        differ = [name for name, got, expected
+                  in zip(want._fields, record, want) if got != expected]
+        assert type(record) is type(want), f"{kind} n={n}"
+        assert record == want, f"{kind} n={n} {differ}"
 
 
 def test_enumerate_builds_the_coefficient_set_once(monkeypatch):
