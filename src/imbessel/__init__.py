@@ -8,7 +8,8 @@ expansion carrying up to three correction terms, and refines each estimate
 to near machine accuracy with a bracketing root finder.
 """
 
-from .asymcoeff import (A_coefficients, a_coefficients, c_polynomials,
+from .asymcoeff import (A_coefficients, CoefficientSet,
+                        CorrectionCoefficients, a_coefficients, c_polynomials,
                         coefficient_set, correction_coefficients)
 from .besseval import (NU_MIN, FunctionKind, ScaledReal, detection_value,
                        eval_function, series_sum)
@@ -16,16 +17,19 @@ from .cgamma import STIRLING_COEFFICIENTS, log_gamma, recip_gamma_prefactor
 from .cli import main
 from .errors import (BracketingError, ConvergenceError, DomainError,
                      EnumerationError, UnreliableAsymptoticsError)
-from .lambertw import lambert_w0, w_asymptotic
-from .zerofinder import (ZeroEstimate, asymptotic_zero, enumerate_zeros,
-                         leading_xi, leading_zero, phase, refine_zero)
+from .lambertw import WResult, lambert_w0, w_asymptotic
+from .zerofinder import (ZeroEstimate, ZeroRecord, asymptotic_zero,
+                         enumerate_zeros, leading_xi, leading_zero, phase,
+                         refine_zero)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "A_coefficients",
     "BracketingError",
+    "CoefficientSet",
     "ConvergenceError",
+    "CorrectionCoefficients",
     "DomainError",
     "EnumerationError",
     "FunctionKind",
@@ -33,7 +37,9 @@ __all__ = [
     "STIRLING_COEFFICIENTS",
     "ScaledReal",
     "UnreliableAsymptoticsError",
+    "WResult",
     "ZeroEstimate",
+    "ZeroRecord",
     "a_coefficients",
     "asymptotic_zero",
     "c_polynomials",

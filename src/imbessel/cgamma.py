@@ -57,17 +57,21 @@ def log_gamma(z: complex) -> complex:
     """Principal-branch log Gamma(z) for Re z > 0.
 
     Relative error is at or below 1e-14 on the band |Im z| <= 100 that the
-    evaluator uses (z = 1 + i*nu). Raises DomainError for Re z <= 0.
+    evaluator uses (z = 1 + i*nu). Raises DomainError for Re z <= 0 and for
+    a z whose modulus is not finite.
     """
     z = complex(z)
-    if not (z.real > 0.0):
-        raise DomainError(f"log_gamma requires Re z > 0, got z = {z!r}")
+    r = abs(z)
+    if not (z.real > 0.0 and r < math.inf):
+        raise DomainError(
+            f"log_gamma requires Re z > 0 and finite |z|, got z = {z!r}")
 
     # Recurrence shift: log Gamma(z) = log Gamma(z + k) - sum log(z + j).
     shift = 0.0 + 0.0j
-    while abs(z) < _SHIFT_RADIUS:
+    while r < _SHIFT_RADIUS:
         shift += cmath.log(z)
         z += 1.0
+        r = abs(z)
 
     # Stirling series at the shifted argument.
     total = (z - 0.5) * cmath.log(z) - z + _HALF_LOG_TWO_PI
@@ -84,11 +88,20 @@ def recip_gamma_prefactor(nu: float, x: float) -> complex:
 
     Returns exp(i (nu log(x/2) - Im log Gamma(1 + i*nu))), taken in real
     arithmetic. The modulus, sqrt(sinh(pi nu) / (pi nu)), is left to the
-    closed-form scale of each function kind.
+    closed-form scale of each function kind. Raises DomainError for nu or
+    x <= 0 and where the phase is not finite: for an infinite nu (through
+    log_gamma) or x, or a nu so large that arg Gamma(1 + i*nu) overflows.
     """
     if not (nu > 0.0):
         raise DomainError(f"recip_gamma_prefactor requires nu > 0, got {nu!r}")
     if not (x > 0.0):
         raise DomainError(f"recip_gamma_prefactor requires x > 0, got {x!r}")
     lg = log_gamma(complex(1.0, nu))
-    return cmath.exp(1j * (nu * math.log(0.5 * x) - lg.imag))
+    phase = nu * math.log(0.5 * x) - lg.imag
+    try:
+        # Bit for bit cmath.exp(1j * phase), but an infinite phase raises.
+        return cmath.rect(1.0, phase)
+    except ValueError:
+        raise DomainError(
+            f"recip_gamma_prefactor has no finite phase at nu = {nu!r}, "
+            f"x = {x!r}") from None

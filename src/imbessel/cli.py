@@ -198,30 +198,35 @@ def cmd_coeffs(args: argparse.Namespace, out) -> int:
         ns = range(1, _positive_int("n_max", args.n_max) + 1)
     coeffs = coefficient_set(args.x, kind.family)
     lambda_ = 2.0 / (math.e * args.x)
-    per_n = []
+    A = list(coeffs.A)
+    # Every value of the dump in output order, encoded by one call of the C
+    # encoder (json.dumps with indent falls back to pure Python) and filled
+    # into the indent=1 layout. No value text contains ", ": numbers, NaN
+    # and Infinity never do, nor do the kind letter and the family name.
+    values = [kind.value, args.x, coeffs.family, coeffs.chi,
+              *coeffs.C, *coeffs.a, *A]
     for n in ns:
         m = kind.m_value(n)
         xi = leading_xi(m, lambda_)
-        correction = correction_coefficients(list(coeffs.A), xi, m)
-        per_n.append({
-            "n": n,
-            "m": m,
-            "xi": xi,
-            "b": list(correction.b),
-            "B": list(correction.B),
-        })
-    payload = {
-        "kind": kind.value,
-        "x": args.x,
-        "family": coeffs.family,
-        "chi": coeffs.chi,
-        "C": list(coeffs.C),
-        "a": list(coeffs.a),
-        "A": list(coeffs.A),
-        "per_n": per_n,
-    }
-    out.write(json.dumps(payload, indent=1) + "\n")
+        correction = correction_coefficients(A, xi, m)
+        values += (n, m, xi, *correction.b, *correction.B)
+    head = ('{\n "kind": %s,\n "x": %s,\n "family": %s,\n "chi": %s,\n'
+            f' "C": {_json_list(1, len(coeffs.C))},\n'
+            f' "a": {_json_list(1, len(coeffs.a))},\n'
+            f' "A": {_json_list(1, len(A))},\n "per_n": [\n')
+    row = ('  {\n   "n": %s,\n   "m": %s,\n   "xi": %s,\n'
+           f'   "b": {_json_list(3, len(correction.b))},\n'
+           f'   "B": {_json_list(3, len(correction.B))}\n  }}')
+    layout = head + ",\n".join([row] * len(ns)) + "\n ]\n}\n"
+    out.write(layout % tuple(json.dumps(values)[1:-1].split(", ")))
     return _EXIT_OK
+
+
+def _json_list(depth: int, length: int) -> str:
+    # The json.dumps(indent=1) layout of a nonempty list of `length` values
+    # nested `depth` levels deep, one %s slot per value.
+    return ("[" + ",".join(["\n" + " " * (depth + 1) + "%s"] * length)
+            + "\n" + " " * depth + "]")
 
 
 def build_parser() -> argparse.ArgumentParser:

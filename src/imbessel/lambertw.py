@@ -2,8 +2,10 @@
 
 Solves w * e^w = z for w >= 0, the leading-order zero equation
 xi * log(lambda * xi) = m after the substitution xi = m / W(lambda * m).
-Halley iteration from a piecewise initial guess converges cubically; the
-solved residual is returned alongside w so callers can assert solver health.
+Halley iteration from a piecewise initial guess converges cubically; above
+z = 1e306, where w e^w - z and the Halley denominator can overflow, Newton's
+method solves the logarithm w + log w = log z instead. The solved residual is
+returned alongside w so callers can assert solver health.
 WResult (w, residual) is an immutable NamedTuple, equal to a plain tuple.
 """
 
@@ -19,6 +21,11 @@ __all__ = ["WResult", "lambert_w0", "w_asymptotic"]
 _EPS = math.ulp(1.0)
 _INV_E = 1.0 / math.e
 _MAX_ITER = 50
+
+# Above this z the iteration moves to log space. The Halley step's
+# f * (w + 2) overflows from z ~ 3e307 on, where f = w e^w - z at the first
+# guess is about 0.9% of z; below 1e306 it stays under 7e306.
+_LOG_SPACE_Z = 1e306
 
 
 class WResult(NamedTuple):
@@ -49,6 +56,7 @@ def lambert_w0(z: float) -> WResult:
     Terminates when the step falls below 4 * eps * (1 + |w|); raises
     DomainError for negative or non-finite z and ConvergenceError if 50
     iterations do not suffice (unreachable for valid input, kept as a guard).
+    Above z = 1e306 the iteration is Newton's on w + log w = log z.
     """
     z = float(z)
     if not (0.0 <= z < math.inf):
@@ -57,6 +65,8 @@ def lambert_w0(z: float) -> WResult:
         return WResult(0.0, 0.0)
 
     w = _initial_guess(z)
+    if z > _LOG_SPACE_Z:
+        return _log_space_newton(z, w)
     for _ in range(_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - z
@@ -72,6 +82,19 @@ def lambert_w0(z: float) -> WResult:
         raise ConvergenceError(f"lambert_w0 did not converge for z = {z!r}")
 
     return WResult(w, abs(w * math.exp(w) - z))
+
+
+def _log_space_newton(z: float, w: float) -> WResult:
+    # Newton on g(w) = w + log w - log z, the log of w e^w = z, from the
+    # initial guess just below the root; nothing here can overflow, and the
+    # residual |w e^w - z| is z |e^g - 1|.
+    log_z = math.log(z)
+    for _ in range(_MAX_ITER):
+        step = (w + math.log(w) - log_z) * w / (w + 1.0)
+        w -= step
+        if abs(step) <= 4.0 * _EPS * (1.0 + w):
+            return WResult(w, z * abs(math.expm1(w + math.log(w) - log_z)))
+    raise ConvergenceError(f"lambert_w0 did not converge for z = {z!r}")
 
 
 def w_asymptotic(z: float, terms: int) -> float:

@@ -99,7 +99,10 @@ class ZeroRecord(NamedTuple):
 
 
 def phase(nu: float, lambda_: float) -> float:
-    """The phase Phi(nu) = nu log(lambda nu) + pi/4."""
+    """The phase Phi(nu) = nu log(lambda nu) + pi/4, for nu, lambda > 0."""
+    if not (nu > 0.0 and lambda_ > 0.0):
+        raise DomainError(
+            f"phase requires nu > 0 and lambda > 0, got {nu!r}, {lambda_!r}")
     return nu * math.log(lambda_ * nu) + math.pi / 4.0
 
 
@@ -115,6 +118,7 @@ def leading_xi(m: float, lambda_: float) -> float:
 def leading_zero(kind: object, n: int, x: float) -> float:
     """Leading-order zero m / log(lambda m); a crude documentation estimate."""
     kind = FunctionKind.coerce(kind)
+    _positive_int("n", n)
     if not (x > 0.0):
         raise DomainError(f"leading_zero requires x > 0, got {x!r}")
     m = kind.m_value(n)
@@ -152,8 +156,9 @@ def _estimator(kind: FunctionKind, x: float,
     # function gives the estimate of the nth zero from it.
     if not (x > 0.0):
         raise DomainError(f"asymptotic_zero requires x > 0, got {x!r}")
-    if order not in (0, 1, 2, 3):
-        raise DomainError(f"order must be in 0..3, got {order!r}")
+    if not (isinstance(order, int) and type(order) is not bool
+            and 0 <= order <= 3):
+        raise DomainError(f"order must be an integer in 0..3, got {order!r}")
     A = list(coefficient_set(x, kind.family).A)
     return lambda n: _estimate(kind, n, x, order, A)
 

@@ -319,6 +319,14 @@ def test_eval_function_rejects_non_finite_inputs(kind, nu, x):
         eval_function(kind, nu, x)
 
 
+@pytest.mark.parametrize("kind", ["L", "K", "F", "G"])
+def test_a_nu_whose_phase_overflows_raises_instead_of_returning_nan(kind):
+    # arg Gamma(1 + i nu) is infinite at nu = 1e306; this returned NaN.
+    for evaluate in (eval_function, detection_value):
+        with pytest.raises(DomainError, match="no finite phase"):
+            evaluate(kind, 1e306, 1.0)
+
+
 def test_eval_function_returns_normalized_values():
     for kind, nu in itertools.product("LKFG", (0.5, 1.0, 5.0, 30.0)):
         value = eval_function(kind, nu, 1.0)

@@ -42,6 +42,14 @@ def test_log_gamma_rejects_left_half_plane(z):
         log_gamma(z)
 
 
+@pytest.mark.parametrize("z", [complex(1.0, math.inf), complex(math.inf, 0.0),
+                               complex(math.inf, -1.0), complex(1.0, math.nan),
+                               complex(math.nan, 1.0)])
+def test_log_gamma_rejects_a_non_finite_argument(z):
+    with pytest.raises(DomainError):
+        log_gamma(z)
+
+
 def test_log_gamma_accuracy_on_the_working_band():
     # Right half-plane accuracy against an independent multiprecision
     # implementation, on the |Im z| <= 100 band the evaluator uses.
@@ -151,6 +159,15 @@ def test_prefactor_magnitude_grows_like_half_pi_nu():
 @pytest.mark.parametrize("nu,x", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
                                   (1.0, -2.0)])
 def test_prefactor_rejects_nonpositive_arguments(nu, x):
+    with pytest.raises(DomainError):
+        recip_gamma_prefactor(nu, x)
+
+
+# At nu = 1e306 arg Gamma(1 + i nu) overflows, and the phase with it.
+@pytest.mark.parametrize("nu,x", [(math.inf, 1.0), (1.0, math.inf),
+                                  (math.nan, 1.0), (1.0, math.nan),
+                                  (1e306, 1.0)])
+def test_prefactor_rejects_a_phase_that_is_not_finite(nu, x):
     with pytest.raises(DomainError):
         recip_gamma_prefactor(nu, x)
 

@@ -15,8 +15,9 @@ import pytest
 
 import imbessel.cli as cli
 import imbessel.zerofinder as zerofinder
-from imbessel import (BracketingError, EnumerationError, coefficient_set,
-                      correction_coefficients, leading_xi, main)
+from imbessel import (BracketingError, EnumerationError, FunctionKind,
+                      coefficient_set, correction_coefficients, leading_xi,
+                      main)
 
 from golden import NS, TABLE_KINDS, TABLE_ZERO, dp6, fnum
 
@@ -493,6 +494,52 @@ def test_coeffs_dump_matches_the_library(capsys):
                                          entry["m"])
     assert entry["b"] == list(correction.b)
     assert entry["B"] == list(correction.B)
+
+
+def _coeffs_payload(kind: str, x: float, ns) -> dict:
+    # The coeffs dump rebuilt from the library as the dict it documents.
+    kind = FunctionKind.coerce(kind)
+    coeffs = cli.coefficient_set(x, kind.family)
+    per_n = []
+    for n in ns:
+        m = kind.m_value(n)
+        xi = cli.leading_xi(m, 2.0 / (math.e * x))
+        correction = cli.correction_coefficients(list(coeffs.A), xi, m)
+        per_n.append({"n": n, "m": m, "xi": xi, "b": list(correction.b),
+                      "B": list(correction.B)})
+    return {"kind": kind.value, "x": x, "family": coeffs.family,
+            "chi": coeffs.chi, "C": list(coeffs.C), "a": list(coeffs.a),
+            "A": list(coeffs.A), "per_n": per_n}
+
+
+@pytest.mark.parametrize("kind", ["L", "K", "F", "G"])
+@pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 1e30])
+@pytest.mark.parametrize("flag,value", [
+    ("--n", 1), ("--n-max", 3), ("--n-max", 500), ("--n", 10 ** 300 + 7)])
+def test_coeffs_prints_exactly_the_indent_1_json_dump(capsys, kind, x, flag,
+                                                      value):
+    code, out, err = _run(capsys, ["coeffs", "--kind", kind, "--x", repr(x),
+                                   flag, str(value)])
+    ns = [value] if flag == "--n" else range(1, value + 1)
+    want = json.dumps(_coeffs_payload(kind, x, ns), indent=1) + "\n"
+    assert (code, err) == (0, "")
+    assert out == want
+
+
+def test_coeffs_layout_holds_for_non_finite_corrections(capsys, monkeypatch):
+    real = cli.correction_coefficients
+
+    def non_finite(A, xi, m):
+        correction = real(A, xi, m)
+        return correction._replace(b=(math.nan, *correction.b[1:]),
+                                   B=(math.inf, -math.inf, correction.B[2]))
+
+    monkeypatch.setattr(cli, "correction_coefficients", non_finite)
+    code, out, _ = _run(capsys, ["coeffs", "--kind", "G", "--n-max", "2"])
+    assert code == 0
+    assert "NaN" in out and "-Infinity" in out
+    assert out == json.dumps(_coeffs_payload("G", 1.0, [1, 2]),
+                             indent=1) + "\n"
 
 
 @pytest.mark.skipif(not _artifact_installed(),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -44,6 +45,18 @@ def test_w_rejects_negative_argument():
 def test_w_rejects_non_finite_argument(z):
     with pytest.raises(DomainError):
         lambert_w0(z)
+
+
+@pytest.mark.parametrize("z", [1e300, 1e307, 1e308, 1.7e308,
+                               1.7976931348623157e308])
+def test_w_matches_mpmath_up_to_the_largest_float(z):
+    # Above about 3e307 the Halley denominator overflowed, and the first
+    # guess came back unconverged (W(1e308) was 702.6321, not 702.6414).
+    with mp.workdps(40):
+        want = mp.lambertw(mp.mpf(z)).real
+    result = lambert_w0(z)
+    assert abs(result.w - want) <= 1e-14 * want
+    assert result.residual <= 1e-13 * z
 
 
 def test_round_trip_residual_on_log_grid():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import pathlib
+import re
 
 import pytest
 
@@ -13,6 +15,7 @@ from imbessel import (BracketingError, DomainError, EnumerationError,
                       enumerate_zeros, eval_function, lambert_w0,
                       leading_xi, leading_zero, phase, refine_zero)
 
+import imbessel
 import imbessel.besseval as besseval
 import imbessel.zerofinder as zerofinder
 
@@ -49,6 +52,13 @@ def test_phase_formula():
     assert phase(2.0, 3.0) == 2.0 * math.log(6.0) + math.pi / 4.0
 
 
+@pytest.mark.parametrize("nu,lambda_", [(-1.0, 1.0), (0.0, 1.0), (1.0, 0.0),
+                                        (-1.0, -1.0), (math.nan, 1.0)])
+def test_phase_rejects_nonpositive_inputs_with_a_domain_error(nu, lambda_):
+    with pytest.raises(DomainError):
+        phase(nu, lambda_)
+
+
 def test_leading_xi_inverts_the_defining_equation():
     # W(e) = 1, so lambda*m = e gives xi = m exactly.
     assert abs(leading_xi(2.0, math.e / 2.0) - 2.0) <= 1e-12
@@ -81,6 +91,12 @@ def test_leading_zero_requires_lambda_m_above_one():
         leading_zero("K", 1, 2.0)
     with pytest.raises(DomainError):
         leading_zero("K", 1, 0.0)
+
+
+@pytest.mark.parametrize("n", [True, 1.5, 0])
+def test_leading_zero_takes_only_a_positive_integer_n(n):
+    with pytest.raises(DomainError, match="n must be a positive integer"):
+        leading_zero("K", n, 1.0)
 
 
 def test_leading_zero_orders_l_above_k():
@@ -137,6 +153,8 @@ def test_estimate_order_selects_the_partial_sum():
     lambda: asymptotic_zero("L", 1, -1.0),
     lambda: asymptotic_zero("L", 1, 1.0, order=4),
     lambda: asymptotic_zero("L", 1, 1.0, order=-1),
+    lambda: asymptotic_zero("L", 1, 1.0, order=True),
+    lambda: asymptotic_zero("L", 1, 1.0, order=1.0),
 ])
 def test_asymptotic_zero_validates_arguments(bad_call):
     with pytest.raises(DomainError):
@@ -662,6 +680,18 @@ def test_records_reject_attribute_assignment():
             with pytest.raises(AttributeError):
                 setattr(record, name, 0.0)
         assert record == tuple(record)
+
+
+def test_every_record_type_the_readme_names_imports_from_the_package():
+    readme = (pathlib.Path(__file__).resolve().parents[1]
+              / "README.md").read_text()
+    listed = re.search(r"Every record the library returns \(([^)]*)\)", readme)
+    names = re.findall(r"`(\w+)`", listed.group(1))
+    assert len(names) == 6
+    records = {type(r).__name__: r for r in _one_record_of_each_type()}
+    for name in names:
+        assert name in imbessel.__all__
+        assert isinstance(records[name], getattr(imbessel, name))
 
 
 def test_zero_record_fields_are_the_documented_ones_in_order():
