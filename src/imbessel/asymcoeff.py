@@ -111,14 +111,15 @@ def correction_coefficients(A: list[float], xi: float,
 
     The caller guarantees xi * log(lambda * xi) = m, so 1 + log(lambda * xi)
     equals (1 + chi_ratio) / chi_ratio with chi_ratio = xi / m; that form
-    avoids re-deriving lambda here. Raises DomainError when that pivot is
-    not positive (xi at or below x/2, where the expansion is meaningless).
+    avoids re-deriving lambda here. Raises DomainError for xi or m not in
+    (0, inf), and when that pivot is not positive (xi at or below x/2,
+    where the expansion is meaningless).
     """
     xi = float(xi)
     m = float(m)
-    if not (xi > 0.0 and m > 0.0):
+    if not (0.0 < xi < math.inf and 0.0 < m < math.inf):
         raise DomainError(
-            f"correction_coefficients requires xi > 0 and m > 0, "
+            f"correction_coefficients requires finite xi > 0 and m > 0, "
             f"got xi = {xi!r}, m = {m!r}")
     chi_ratio = xi / m
     one_plus_log = (1.0 + chi_ratio) / chi_ratio

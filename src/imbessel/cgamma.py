@@ -52,19 +52,24 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 # Below this modulus the asymptotic series is not accurate enough; shift up.
 _SHIFT_RADIUS = 10.0
 
+# z * z overflows from |z| = 1.34e154 on; below this bound |z|^2 < 1e308
+# and |(z - 0.5) log z| < 1e157, so the Stirling series stays finite.
+_MAX_MODULUS = 1e154
+
 
 def log_gamma(z: complex) -> complex:
     """Principal-branch log Gamma(z) for Re z > 0.
 
     Relative error is at or below 1e-14 on the band |Im z| <= 100 that the
     evaluator uses (z = 1 + i*nu). Raises DomainError for Re z <= 0 and for
-    a z whose modulus is not finite.
+    |z| >= 1e154, where the series would overflow, or is not finite.
     """
     z = complex(z)
     r = abs(z)
-    if not (z.real > 0.0 and r < math.inf):
+    if not (z.real > 0.0 and r < _MAX_MODULUS):
         raise DomainError(
-            f"log_gamma requires Re z > 0 and finite |z|, got z = {z!r}")
+            f"log_gamma requires Re z > 0 and |z| < {_MAX_MODULUS!r}, "
+            f"got z = {z!r}")
 
     # Recurrence shift: log Gamma(z) = log Gamma(z + k) - sum log(z + j).
     shift = 0.0 + 0.0j
@@ -89,19 +94,20 @@ def recip_gamma_prefactor(nu: float, x: float) -> complex:
     Returns exp(i (nu log(x/2) - Im log Gamma(1 + i*nu))), taken in real
     arithmetic. The modulus, sqrt(sinh(pi nu) / (pi nu)), is left to the
     closed-form scale of each function kind. Raises DomainError for nu or
-    x <= 0 and where the phase is not finite: for an infinite nu (through
-    log_gamma) or x, or a nu so large that arg Gamma(1 + i*nu) overflows.
+    x <= 0 and where the phase is not finite: for an infinite x, or a nu
+    past the modulus log_gamma takes, from 1e154 on.
     """
     if not (nu > 0.0):
         raise DomainError(f"recip_gamma_prefactor requires nu > 0, got {nu!r}")
     if not (x > 0.0):
         raise DomainError(f"recip_gamma_prefactor requires x > 0, got {x!r}")
-    lg = log_gamma(complex(1.0, nu))
-    phase = nu * math.log(0.5 * x) - lg.imag
     try:
+        # log_gamma refuses nu from 1e154 on, where its series would overflow.
+        lg = log_gamma(complex(1.0, nu))
+        phase = nu * math.log(0.5 * x) - lg.imag
         # Bit for bit cmath.exp(1j * phase), but an infinite phase raises.
         return cmath.rect(1.0, phase)
-    except ValueError:
+    except (DomainError, ValueError):
         raise DomainError(
             f"recip_gamma_prefactor has no finite phase at nu = {nu!r}, "
             f"x = {x!r}") from None

@@ -113,11 +113,15 @@ def cmd_zeros(args: argparse.Namespace, out) -> int:
     """Compute, refine, and report zeros n = 1..n_max (or a single n)."""
     kind = FunctionKind.coerce(args.kind)
     if args.n is not None:
-        estimate = asymptotic_zero(kind, args.n, args.x, args.order)
-        records = [refine_zero(kind, args.n, args.x, estimate, args.tol)]
+        records = [refine_zero(asymptotic_zero(kind, args.n, args.x),
+                               args.tol)]
     else:
-        records = enumerate_zeros(kind, args.x, args.n_max, args.order,
-                                  args.tol)
+        records = enumerate_zeros(kind, args.x, args.n_max, args.tol)
+    # Report the partial sum --order selects as each zero's estimate.
+    order = args.order
+    records = [r._replace(nu_asymptotic=r.partial[order],
+                          discrepancy=abs(r.partial[order] - r.nu_refined))
+               for r in records]
 
     if args.format == "json":
         out.write(json.dumps([_record_json(r) for r in records]) + "\n")
@@ -155,9 +159,8 @@ def cmd_table(args: argparse.Namespace, out) -> int:
         for n in _TABLE_NS:
             try:
                 if estimate_of is None:
-                    estimate_of = _estimator(kind, args.x, 3)
-                cells[kind, n] = refine_zero(kind, n, args.x, estimate_of(n),
-                                             args.tol)
+                    estimate_of = _estimator(kind, args.x)
+                cells[kind, n] = refine_zero(estimate_of(n), args.tol)
             except (DomainError, ConvergenceError) as exc:
                 cells[kind, n] = exc
                 code = max(code, _exit_code_for(exc))

@@ -102,13 +102,13 @@ def w_asymptotic(z: float, terms: int) -> float:
 
     W(z) ~ log z - log log z + log log z / log z for z > e; `terms` selects
     the 2- or 3-term truncation. Raises DomainError for z <= e, where
-    log log z is not positive.
+    log log z is not positive, and for z = inf, where it is not finite.
     """
     if terms not in (2, 3):
         raise DomainError(f"w_asymptotic terms must be 2 or 3, got {terms!r}")
     z = float(z)
-    if not (z > math.e):
-        raise DomainError(f"w_asymptotic requires z > e, got {z!r}")
+    if not (math.e < z < math.inf):
+        raise DomainError(f"w_asymptotic requires e < z < inf, got {z!r}")
     log_z = math.log(z)
     log_log_z = math.log(log_z)
     value = log_z - log_log_z

@@ -8,14 +8,16 @@ besseval, also names the series family the coefficient set is built for),
 the leading zero solves xi * log(lambda xi) = m, which the Lambert W
 function inverts as xi = m / W(lambda m); three further corrections
 B_k / m^{2k+1} from the coefficient pipeline complete the estimate.
-Refinement brackets the sign change of the unit-normalized function value
-around the estimate, guarded so the bracket can never leak to an adjacent
-zero, and closes in on it with Brent-Dekker's zeroin started from the
-estimate. The sign of that value at the estimate says on which side of it
-the zero lies: only the bracket end across the zero is evaluated, far out
-first one solver stopping step away, which proves the zero in two
-evaluations, and no sign change there raises. The zero is the solver's best
-evaluated point of the closed bracket, so its residual costs no evaluation.
+Refinement takes the estimate alone: it brackets the sign change of the
+unit-normalized function value around the estimate, guarded so the bracket
+can never leak to an adjacent zero, and closes in on it with Brent-Dekker's
+zeroin started from the estimate. The sign of that value at the estimate
+says on which side of it the zero lies: only the bracket end across the zero
+is evaluated, in at most two brackets, far out first one solver stopping
+step away, which proves the zero in two evaluations, then the estimate's
+own half-width; no sign change in either raises. The zero is the solver's
+best evaluated point of the closed bracket, so its residual costs no
+evaluation.
 The coefficient set depends on x and the family only, so an enumeration
 builds it once for all zeros.
 
@@ -40,9 +42,6 @@ __all__ = ["ZeroEstimate", "ZeroRecord", "phase", "leading_xi",
            "leading_zero", "asymptotic_zero", "refine_zero",
            "enumerate_zeros"]
 
-# Maximum number of geometric bracket expansions before giving up.
-_MAX_EXPANSIONS = 6
-
 _DEFAULT_WIDTH = 1e-12
 
 _EPS = math.ulp(1.0)
@@ -56,7 +55,7 @@ class ZeroEstimate(NamedTuple):
     """Asymptotic estimate data for one zero.
 
     partial holds the cumulative sums xi, xi + B0/m, xi + B0/m + B1/m^3,
-    and the full three-correction value; nu is the sum selected by `order`.
+    and the full three-correction value nu.
     """
 
     kind: FunctionKind
@@ -66,11 +65,10 @@ class ZeroEstimate(NamedTuple):
     lambda_: float
     xi: float
     partial: tuple[float, float, float, float]
-    order: int = 3
 
     @property
     def nu(self) -> float:
-        return self.partial[self.order]
+        return self.partial[3]
 
 
 class ZeroRecord(NamedTuple):
@@ -84,7 +82,8 @@ class ZeroRecord(NamedTuple):
     closed bracket, maybe an end, and residual equals eval_function there but
     reuses the solver's detection value; where the probe stage confirmed the
     zero the bracket is one solver stopping step wide, under 1e-12.
-    partial carries the estimate's four cumulative sums.
+    nu_asymptotic is the three-correction estimate partial[3], and partial
+    carries the estimate's four cumulative sums.
     """
 
     kind: FunctionKind
@@ -129,18 +128,16 @@ def leading_zero(kind: object, n: int, x: float) -> float:
     return m / math.log(lambda_ * m)
 
 
-def asymptotic_zero(kind: object, n: int, x: float,
-                    order: int = 3) -> ZeroEstimate:
+def asymptotic_zero(kind: object, n: int, x: float) -> ZeroEstimate:
     """The three-correction asymptotic estimate of the nth nu-zero.
 
-    order in 0..3 selects how many B-corrections the `nu` property sums;
-    all four partial sums are always computed. Raises
+    All four partial sums are computed; `nu` is the last. Raises
     UnreliableAsymptoticsError when the leading term xi fails the validity
     guard xi > max(2, x).
     """
     kind = FunctionKind.coerce(kind)
     _positive_int("n", n)
-    return _estimator(kind, x, order)(n)
+    return _estimator(kind, x)(n)
 
 
 def _positive_int(name: str, value: object) -> int:
@@ -150,20 +147,17 @@ def _positive_int(name: str, value: object) -> int:
     return value
 
 
-def _estimator(kind: FunctionKind, x: float,
-               order: int) -> Callable[[int], ZeroEstimate]:
-    # Validate x and order and build the coefficient set once; the returned
-    # function gives the estimate of the nth zero from it.
+def _estimator(kind: FunctionKind,
+               x: float) -> Callable[[int], ZeroEstimate]:
+    # Validate x and build the coefficient set once; the returned function
+    # gives the estimate of the nth zero from it.
     if not (x > 0.0):
         raise DomainError(f"asymptotic_zero requires x > 0, got {x!r}")
-    if not (isinstance(order, int) and type(order) is not bool
-            and 0 <= order <= 3):
-        raise DomainError(f"order must be an integer in 0..3, got {order!r}")
     A = list(coefficient_set(x, kind.family).A)
-    return lambda n: _estimate(kind, n, x, order, A)
+    return lambda n: _estimate(kind, n, x, A)
 
 
-def _estimate(kind: FunctionKind, n: int, x: float, order: int,
+def _estimate(kind: FunctionKind, n: int, x: float,
               A: list[float]) -> ZeroEstimate:
     # The estimate for validated arguments, from the A coefficients of
     # coefficient_set(x, kind.family).
@@ -184,8 +178,7 @@ def _estimate(kind: FunctionKind, n: int, x: float, order: int,
     p1 = p0 + B0 / m
     p2 = p1 + B1 / m3
     p3 = p2 + B2 / m5
-    return ZeroEstimate(kind, n, float(x), m, lambda_, xi,
-                        (p0, p1, p2, p3), order)
+    return ZeroEstimate(kind, n, float(x), m, lambda_, xi, (p0, p1, p2, p3))
 
 
 def _phase_window(estimate: ZeroEstimate) -> tuple[float, float]:
@@ -289,35 +282,32 @@ def _half_bracket(g: Callable[[float], float], lo: float, hi: float,
             (min(end, nu_hat), max(end, nu_hat)))
 
 
-def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
+def refine_zero(estimate: ZeroEstimate,
                 tol: float = _DEFAULT_WIDTH) -> ZeroRecord:
     """Refine an asymptotic estimate to a machine-accurate zero.
 
-    Brackets the unit-normalized detection value g around the estimate
-    nu_hat, with the half-width h seeded by the last correction term and
-    clamped to the phase window, which is solved for only when a bracket end
-    may lie outside it. Just above the nth zero g has the sign
-    -kind.sign * (-1)**n, so g(nu_hat) tells which end lies across the zero,
-    and only that end is evaluated; a Brent-Dekker solver then starts from the
-    estimate on that half bracket and runs until its bracket is at most
-    `tol` (plus a few ulps) wide. The widths tried are one solver stopping
-    step, if the last correction is below _PROBE_STEPS of them, then h
-    doubled up to _MAX_EXPANSIONS times. An estimate where g is exactly 0.0
-    is the zero once both ends of a bracket change sign. The zero returned
-    is the solver's best evaluated point, whose residual costs no evaluation.
-    Raises DomainError for an n that is not a positive integer, for tol
-    outside (0, inf) or when nu_hat -+ h rounds onto nu_hat, past the float
-    resolution, and BracketingError, which signals an invalid estimate, for
-    an estimate outside its clamped bracket, both before any evaluation,
-    and when no width shows a sign change.
+    The estimate names the zero: its kind, n and x are the request. Brackets
+    the unit-normalized detection value g around the estimate nu_hat, with
+    the half-width h seeded by the last correction term and clamped to the
+    phase window, which is solved for only when nu_hat -+ h may leave it.
+    Just above the nth zero g has the sign -kind.sign * (-1)**n, so
+    g(nu_hat) tells which end lies across the zero, and only that end is
+    evaluated; a Brent-Dekker solver then starts from the estimate on that
+    half bracket and runs until its bracket is at most `tol` (plus a few
+    ulps) wide. At most two brackets are tried: one solver stopping step
+    wide, if the last correction is below _PROBE_STEPS of them, then
+    nu_hat -+ h. An estimate where g is exactly 0.0 is the zero once both
+    ends of a bracket change sign. The zero returned is the solver's best
+    evaluated point, whose residual costs no evaluation.
+    Raises DomainError for an estimate whose n is not a positive integer,
+    for tol outside (0, inf) or when nu_hat -+ h rounds onto nu_hat, past
+    the float resolution, and BracketingError, which signals an invalid
+    estimate, for an estimate outside its clamped bracket, both before any
+    evaluation, and when neither bracket shows a sign change.
     """
-    kind = FunctionKind.coerce(kind)
-    _positive_int("n", n)
-    if (estimate.kind is not kind or estimate.n != n
-            or estimate.x != float(x)):
-        raise DomainError(
-            f"estimate {estimate.kind.value}/n={estimate.n}/x={estimate.x!r} "
-            f"does not match request {kind.value}/n={n}/x={x!r}")
+    kind = FunctionKind.coerce(estimate.kind)
+    n = _positive_int("n", estimate.n)
+    x = estimate.x
     if not (0.0 < tol < math.inf):
         raise DomainError(f"refine_zero requires finite tol > 0, got {tol!r}")
 
@@ -330,60 +320,48 @@ def refine_zero(kind: object, n: int, x: float, estimate: ZeroEstimate,
         raise DomainError(
             f"estimate nu = {nu_hat!r} -+ {h!r} rounds onto the estimate: "
             f"{kind.value} n={n} x={x!r} is past the float resolution")
-    window = None
-
-    def clamp(width: float) -> tuple[float, float]:
-        # nu_hat -+ width clamped to the phase window, solved for on first
-        # need; nu_hat -+ h, checked first, holds every narrower bracket.
-        nonlocal window
-        lo, hi = nu_hat - width, nu_hat + width
-        if (window is None and width >= h
-                and not _inside_phase_window(lo, hi, estimate)):
-            window = _phase_window(estimate)
-        if window is not None:
-            lo, hi = max(window[0], lo), min(window[1], hi)
-        return lo, hi
-
-    lo, hi = checked = clamp(h)
-    # An estimate outside its clamped bracket cannot belong to this zero.
-    if not lo < nu_hat < hi:
-        raise BracketingError(
-            f"estimate nu = {nu_hat!r} lies outside the phase window "
-            f"({window[0]!r}, {window[1]!r}) for {kind.value} n={n} "
-            f"x={x!r}", (lo, hi))
+    lo, hi = nu_hat - h, nu_hat + h
+    if not _inside_phase_window(lo, hi, estimate):
+        window = _phase_window(estimate)
+        lo, hi = max(window[0], lo), min(window[1], hi)
+        # An estimate outside its clamped bracket cannot belong to this zero.
+        if not lo < nu_hat < hi:
+            raise BracketingError(
+                f"estimate nu = {nu_hat!r} lies outside the phase window "
+                f"({window[0]!r}, {window[1]!r}) for {kind.value} n={n} "
+                f"x={x!r}", (lo, hi))
     g_hat = g(nu_hat)
     sign_above = _sign_above(kind, n)
     # The solver's stopping step: a sign change there ends _brent at once.
     step = 2.0 * _EPS * abs(nu_hat) + 0.5 * tol
-    probed = (abs(estimate.partial[3] - estimate.partial[2])
-              < _PROBE_STEPS * step and step <= h)
-    for k in range(-1 if probed else 0, _MAX_EXPANSIONS + 1):
-        lo, hi = checked if k == 0 else clamp(step if k < 0 else h * 2.0 ** k)
+    found = None
+    if (abs(estimate.partial[3] - estimate.partial[2]) < _PROBE_STEPS * step
+            and step <= h):
+        found = _half_bracket(g, max(lo, nu_hat - step),
+                              min(hi, nu_hat + step), nu_hat, g_hat,
+                              sign_above, tol)
+    if found is None:
         found = _half_bracket(g, lo, hi, nu_hat, g_hat, sign_above, tol)
-        if found is not None:
-            break
-    else:
+    if found is None:
         raise BracketingError(
             f"no sign change of the detection value for "
             f"{kind.value} n={n} x={x!r}", (lo, hi))
 
     nu_refined, g_refined, bracket = found
-    nu_asymptotic = estimate.nu
-    return ZeroRecord(kind, n, estimate.x, nu_asymptotic, nu_refined,
-                      abs(nu_asymptotic - nu_refined), bracket,
+    return ZeroRecord(kind, n, x, nu_hat, nu_refined,
+                      abs(nu_hat - nu_refined), bracket,
                       _normalized(g_refined, kind.log_scale(nu_refined)),
                       estimate.partial)
 
 
 def enumerate_zeros(kind: object, x: float, n_max: int,
-                    order: int = 3, tol: float = _DEFAULT_WIDTH) -> list[ZeroRecord]:
+                    tol: float = _DEFAULT_WIDTH) -> list[ZeroRecord]:
     """Refined zeros for n = 1..n_max, strictly increasing in nu.
 
     Builds the coefficient set once and derives every estimate from it, so
-    each record equals refine_zero(kind, n, x, asymptotic_zero(kind, n, x,
-    order), tol). The first failing index, n = 1 for an invalid x or order,
-    aborts the enumeration with the completed records attached to the
-    raised EnumerationError.
+    each record equals refine_zero(asymptotic_zero(kind, n, x), tol). The
+    first failing index, n = 1 for an invalid x, aborts the enumeration with
+    the completed records attached to the raised EnumerationError.
     """
     kind = FunctionKind.coerce(kind)
     _positive_int("n_max", n_max)
@@ -391,9 +369,8 @@ def enumerate_zeros(kind: object, x: float, n_max: int,
     for n in range(1, n_max + 1):
         try:
             if n == 1:
-                estimate_of = _estimator(kind, x, order)
-            estimate = estimate_of(n)
-            record = refine_zero(kind, n, x, estimate, tol)
+                estimate_of = _estimator(kind, x)
+            record = refine_zero(estimate_of(n), tol)
             if records and record.nu_refined <= records[-1].nu_refined:
                 raise ConvergenceError(
                     f"refined zeros not strictly increasing at n = {n}")

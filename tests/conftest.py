@@ -33,7 +33,7 @@ def records_x1() -> dict:
     for kind in "LKFG":
         for n in NS:
             estimate = asymptotic_zero(kind, n, 1.0)
-            out[kind, n] = refine_zero(kind, n, 1.0, estimate)
+            out[kind, n] = refine_zero(estimate)
     return out
 
 

@@ -24,7 +24,7 @@ def _fresh_records(kinds):
     for kind in kinds:
         for n in NS:
             estimate = asymptotic_zero(kind, n, 1.0)
-            out[kind, n] = (estimate, refine_zero(kind, n, 1.0, estimate))
+            out[kind, n] = (estimate, refine_zero(estimate))
     return out
 
 

@@ -158,7 +158,8 @@ def test_correction_coefficients_vanish_without_phase_corrections():
 
 
 @pytest.mark.parametrize("xi,m", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
-                                  (1.0, -3.0)])
+                                  (1.0, -3.0), (1.0, math.inf),
+                                  (math.inf, 1.0)])
 def test_correction_coefficients_reject_nonpositive_inputs(xi, m):
     with pytest.raises(DomainError):
         correction_coefficients([0.1, 0.1, 0.1], xi, m)

@@ -42,12 +42,22 @@ def test_log_gamma_rejects_left_half_plane(z):
         log_gamma(z)
 
 
+# From |z| = 1e154 on z * z overflows: these gave nan+nanj and inf+0j.
 @pytest.mark.parametrize("z", [complex(1.0, math.inf), complex(math.inf, 0.0),
                                complex(math.inf, -1.0), complex(1.0, math.nan),
-                               complex(math.nan, 1.0)])
+                               complex(math.nan, 1.0), complex(1e200, 1e200),
+                               complex(1e300, 1e300), 1e306])
 def test_log_gamma_rejects_a_non_finite_argument(z):
     with pytest.raises(DomainError):
         log_gamma(z)
+
+
+@pytest.mark.parametrize("z", [complex(1e153, 1e153), complex(9.99e153, 0.0),
+                               complex(1.0, -9.99e153)])
+def test_log_gamma_is_accurate_just_inside_its_modulus_bound(z):
+    mp.mp.dps = 30
+    want = complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+    assert abs(log_gamma(z) - want) <= 1e-15 * abs(want)
 
 
 def test_log_gamma_accuracy_on_the_working_band():

@@ -16,8 +16,9 @@ import pytest
 import imbessel.cli as cli
 import imbessel.zerofinder as zerofinder
 from imbessel import (BracketingError, EnumerationError, FunctionKind,
-                      coefficient_set, correction_coefficients, leading_xi,
-                      main)
+                      asymptotic_zero, coefficient_set,
+                      correction_coefficients, enumerate_zeros, leading_xi,
+                      main, refine_zero)
 
 from golden import NS, TABLE_KINDS, TABLE_ZERO, dp6, fnum
 
@@ -232,6 +233,27 @@ def test_zeros_lower_order_estimates_are_coarser(capsys):
     assert disc3 < disc0
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_zeros_order_reports_that_partial_sum_of_the_records(capsys, order):
+    # The library records carry partial[3]; --order picks the partial sum
+    # the CLI reports and the discrepancy it prints, exactly.
+    records = enumerate_zeros("G", 2.0, 12)
+    records.append(refine_zero(asymptotic_zero("G", 40, 2.0)))
+    _, out, _ = _run(capsys, ["zeros", "--kind", "G", "--x", "2.0",
+                              "--n-max", "12", "--order", str(order),
+                              "--format", "json"])
+    _, single, _ = _run(capsys, ["zeros", "--kind", "G", "--x", "2.0",
+                                 "--n", "40", "--order", str(order),
+                                 "--format", "json"])
+    rows = json.loads(out) + json.loads(single)
+    assert [row["n"] for row in rows] == [record.n for record in records]
+    for row, record in zip(rows, records):
+        estimate = record.partial[order]
+        assert row["nu_refined"] == record.nu_refined
+        assert row["nu_asymptotic"] == estimate
+        assert row["discrepancy"] == abs(estimate - record.nu_refined)
+
+
 def test_identical_invocations_are_byte_identical(capsys):
     argv = ["table", "--table", "2", "--format", "json"]
     _, first, _ = _run(capsys, argv)
@@ -393,7 +415,7 @@ def test_zeros_with_a_tolerance_outside_0_inf_exits_2(capsys, tol):
 
 
 def test_zeros_bracketing_failure_exits_3(capsys, monkeypatch):
-    def fake(kind, x, n_max, order, tol):
+    def fake(kind, x, n_max, tol):
         try:
             raise BracketingError("synthetic stall", (1.0, 2.0))
         except BracketingError as exc:

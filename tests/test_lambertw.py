@@ -100,7 +100,7 @@ def test_asymptotic_ordering_from_100_up():
                                                      - exact), f"z = {z}"
 
 
-@pytest.mark.parametrize("z", [math.e, 1.0, 0.5])
+@pytest.mark.parametrize("z", [math.e, 1.0, 0.5, math.inf])
 def test_asymptotic_rejects_small_argument(z):
     with pytest.raises(DomainError):
         w_asymptotic(z, 2)

@@ -137,24 +137,12 @@ def test_estimate_partial_sums_are_cumulative(estimates_x1):
         assert abs(xi * math.log(estimate.lambda_ * xi) - m) <= 1e-12 * m
 
 
-def test_estimate_order_selects_the_partial_sum():
-    for order in range(4):
-        estimate = asymptotic_zero("L", 2, 1.0, order=order)
-        assert estimate.nu == estimate.partial[order]
-    assert asymptotic_zero("L", 2, 1.0).nu == \
-        asymptotic_zero("L", 2, 1.0).partial[3]
-
-
 @pytest.mark.parametrize("bad_call", [
     lambda: asymptotic_zero("L", 0, 1.0),
     lambda: asymptotic_zero("L", -3, 1.0),
     lambda: asymptotic_zero("L", 1.5, 1.0),
     lambda: asymptotic_zero("L", 1, 0.0),
     lambda: asymptotic_zero("L", 1, -1.0),
-    lambda: asymptotic_zero("L", 1, 1.0, order=4),
-    lambda: asymptotic_zero("L", 1, 1.0, order=-1),
-    lambda: asymptotic_zero("L", 1, 1.0, order=True),
-    lambda: asymptotic_zero("L", 1, 1.0, order=1.0),
 ])
 def test_asymptotic_zero_validates_arguments(bad_call):
     with pytest.raises(DomainError):
@@ -182,7 +170,7 @@ def test_three_term_estimates_match_the_reference_table(kind, n, reference):
                                          ("G", 1, "3.045668")])
 def test_refined_zeros_match_the_reference_table(kind, n, want):
     estimate = asymptotic_zero(kind, n, 1.0)
-    record = refine_zero(kind, n, 1.0, estimate)
+    record = refine_zero(estimate)
     assert dp6(record.nu_refined) == want
 
 
@@ -218,27 +206,30 @@ def test_discrepancy_for_k_n10_matches_the_reference_table(records_x1,
         f"- true_zeros_x1| = {want:.6e} by more than 10%")
 
 
-def test_refine_zero_rejects_mismatched_estimates():
+def test_refine_zero_takes_the_request_from_the_estimate():
+    # A hand-built estimate may name its kind by letter, in any case; an
+    # unknown letter raises before any evaluation.
     estimate = asymptotic_zero("L", 1, 1.0)
+    assert refine_zero(estimate._replace(kind="l")) == refine_zero(estimate)
     with pytest.raises(DomainError):
-        refine_zero("K", 1, 1.0, estimate)
-    with pytest.raises(DomainError):
-        refine_zero("L", 2, 1.0, estimate)
-    with pytest.raises(DomainError):
-        refine_zero("L", 1, 2.0, estimate)
+        refine_zero(estimate._replace(kind="Q"))
+
+
+def test_refine_zero_rejects_a_tolerance_outside_0_inf():
+    estimate = asymptotic_zero("L", 1, 1.0)
     # tol = inf would stop the solver at once, at a bracket end.
     for tol in (0.0, -1e-12, math.inf, math.nan):
         with pytest.raises(DomainError, match="requires finite tol > 0"):
-            refine_zero("L", 1, 1.0, estimate, tol=tol)
+            refine_zero(estimate, tol=tol)
 
 
 def test_refine_zero_rejects_estimates_outside_the_phase_window():
     kind = FunctionKind.K
     real = asymptotic_zero(kind, 1, 1.0)
     bogus = ZeroEstimate(kind, 1, 1.0, real.m, real.lambda_, 20.0,
-                         (20.0, 20.0, 20.0, 20.0), 3)
+                         (20.0, 20.0, 20.0, 20.0))
     with pytest.raises(BracketingError) as info:
-        refine_zero(kind, 1, 1.0, bogus)
+        refine_zero(bogus)
     assert "phase window" in str(info.value)
     assert info.value.bracket[0] >= info.value.bracket[1]
 
@@ -255,18 +246,18 @@ def test_the_phase_window_is_solved_only_when_the_bracket_may_leave_it(
     monkeypatch.setattr(zerofinder, "_phase_window", counting)
     kind = FunctionKind.K
     real = asymptotic_zero(kind, 1, 1.0)
-    refine_zero(kind, 1, 1.0, real)
+    refine_zero(real)
     assert calls == []
     bogus = ZeroEstimate(kind, 1, 1.0, real.m, real.lambda_, 20.0,
-                         (20.0, 20.0, 20.0, 20.0), 3)
+                         (20.0, 20.0, 20.0, 20.0))
     with pytest.raises(BracketingError):
-        refine_zero(kind, 1, 1.0, bogus)
+        refine_zero(bogus)
     assert calls == [bogus]
 
 
 def test_refine_zero_secant_polish_beats_the_bisection_tolerance(reference):
     estimate = asymptotic_zero("L", 1, 1.0)
-    record = refine_zero("L", 1, 1.0, estimate, tol=1e-6)
+    record = refine_zero(estimate, tol=1e-6)
     true = fnum(reference["true_zeros_x1"]["L"][0])
     assert abs(record.nu_refined - true) <= 1e-6
 
@@ -284,7 +275,7 @@ def test_refine_zero_needs_at_most_8_detection_evaluations(kind, x,
     monkeypatch.setattr(zerofinder, "detection_value", counting)
     for n in (5, 10, 50, 200):
         calls.clear()
-        record = refine_zero(kind, n, x, asymptotic_zero(kind, n, x))
+        record = refine_zero(asymptotic_zero(kind, n, x))
         assert len(calls) <= 8, f"{kind} n={n} x={x}: {len(calls)} calls"
         lo, hi = record.bracket
         assert lo <= record.nu_refined <= hi, f"{kind} n={n} x={x}"
@@ -305,7 +296,7 @@ def test_refine_zero_starts_the_solver_at_the_estimate(kind, x, monkeypatch):
 
     monkeypatch.setattr(zerofinder, "detection_value", counting)
     estimate = asymptotic_zero(kind, 200, x)
-    refine_zero(kind, 200, x, estimate)
+    refine_zero(estimate)
     assert len(calls) <= 5, f"{kind} x={x}: {len(calls)} calls"
     assert estimate.partial[3] in [nu for _, nu, _ in calls]
 
@@ -330,7 +321,7 @@ def _refine_to_500(kind, x, calls):
     for n in range(1, 501):
         estimate = asymptotic_zero(kind, n, x)
         calls.clear()
-        rows.append((refine_zero(kind, n, x, estimate), len(calls)))
+        rows.append((refine_zero(estimate), len(calls)))
     return rows
 
 
@@ -380,7 +371,7 @@ def test_the_probe_confirms_a_far_out_zero_in_two_evaluations(monkeypatch):
     for kind in FunctionKind:
         estimate = asymptotic_zero(kind, 400, 1.0)
         calls.clear()
-        record = refine_zero(kind, 400, 1.0, estimate)
+        record = refine_zero(estimate)
         lo, hi = record.bracket
         assert len(calls) == 2, kind
         assert hi - lo <= 1e-12, kind
@@ -397,10 +388,10 @@ def test_a_zero_at_the_probe_end_is_accepted_in_two_evaluations(
     # the zero found without the probe.
     estimate = asymptotic_zero("K", 125, 4.0)
     monkeypatch.setattr(zerofinder, "_PROBE_STEPS", 0.0)
-    plain = refine_zero("K", 125, 4.0, estimate)
+    plain = refine_zero(estimate)
     monkeypatch.setattr(zerofinder, "_PROBE_STEPS", 300.0)
     calls = _count_detection_calls(monkeypatch)
-    record = refine_zero("K", 125, 4.0, estimate)
+    record = refine_zero(estimate)
     assert len(calls) == 2
     lo, hi = record.bracket
     assert record.nu_refined in (lo, hi)
@@ -421,8 +412,7 @@ def test_the_probe_changes_no_zero(refined_to_500, monkeypatch):
     assert len(rows) == 8000
     for kind, x, record in rows:
         where = f"{kind.value} n={record.n} x={x}"
-        plain = refine_zero(kind, record.n, x,
-                            asymptotic_zero(kind, record.n, x))
+        plain = refine_zero(asymptotic_zero(kind, record.n, x))
         assert plain.nu_refined == record.nu_refined, where
         assert plain.residual == record.residual, where
 
@@ -430,16 +420,20 @@ def test_the_probe_changes_no_zero(refined_to_500, monkeypatch):
 def test_a_wrong_side_prediction_raises_rather_than_searching(
         refined_to_500, monkeypatch):
     # Only the predicted side is ever evaluated, so predicting the wrong
-    # side finds no sign change in any bracket width and returns no zero.
+    # side finds no sign change in either bracket and returns no zero:
+    # g(nu_hat), the probe end and the +-h end are the only evaluations.
     sign_above = zerofinder._sign_above
     monkeypatch.setattr(zerofinder, "_sign_above",
                         lambda kind, n: -sign_above(kind, n))
+    calls = _count_detection_calls(monkeypatch)
     rows = _refined_at_most_x4(refined_to_500)
     assert len(rows) == 8000
     for kind, x, record in rows:
+        estimate = asymptotic_zero(kind, record.n, x)
+        calls.clear()
         with pytest.raises(BracketingError, match="no sign change"):
-            refine_zero(kind, record.n, x,
-                        asymptotic_zero(kind, record.n, x))
+            refine_zero(estimate)
+        assert len(calls) <= 3, f"{kind.value} n={record.n} x={x}"
 
 
 @pytest.mark.parametrize("kind,x", [("L", 10.0), ("G", 11.0)])
@@ -451,7 +445,7 @@ def test_an_estimate_outside_its_phase_window_raises_before_evaluating(
     calls = _count_detection_calls(monkeypatch)
     estimate = asymptotic_zero(kind, 1, x)
     with pytest.raises(BracketingError, match="lies outside the phase window"):
-        refine_zero(kind, 1, x, estimate)
+        refine_zero(estimate)
     assert calls == []
 
 
@@ -465,7 +459,7 @@ def test_an_estimate_past_the_float_resolution_raises_before_evaluating(
     monkeypatch.setattr(zerofinder, "_phase_window", None)
     estimate = asymptotic_zero("L", n, 1.0)
     with pytest.raises(DomainError, match="past the float resolution"):
-        refine_zero("L", n, 1.0, estimate)
+        refine_zero(estimate)
     assert calls == []
 
 
@@ -489,7 +483,7 @@ def test_the_checked_bracket_is_reused_for_the_first_width(monkeypatch):
         return inside(*args)
 
     monkeypatch.setattr(zerofinder, "_inside_phase_window", counting)
-    refine_zero("K", 1, 1.0, asymptotic_zero("K", 1, 1.0))
+    refine_zero(asymptotic_zero("K", 1, 1.0))
     assert len(calls) == 1
 
 
@@ -502,7 +496,7 @@ def test_refine_zero_evaluates_through_the_zerofinder_detection_value(
     series_sum = besseval.series_sum
     monkeypatch.setattr(besseval, "series_sum",
                         lambda *args: series.append(args) or series_sum(*args))
-    refine_zero("K", 3, 1.0, asymptotic_zero("K", 3, 1.0))
+    refine_zero(asymptotic_zero("K", 3, 1.0))
     assert calls
     assert len(series) == len(calls)
 
@@ -519,7 +513,7 @@ def test_an_exact_zero_at_the_estimate_is_confirmed_by_both_ends(
         return nu - estimate.nu
 
     monkeypatch.setattr(zerofinder, "detection_value", linear)
-    record = refine_zero("K", n, 1.0, estimate)
+    record = refine_zero(estimate)
     lo, hi = record.bracket
     assert record.nu_refined == estimate.nu
     assert lo < record.nu_refined < hi
@@ -546,8 +540,7 @@ def test_a_tolerance_coarser_than_the_bracket_still_lands_inside_it():
     # tol = 1 stops the solver before its first step, so the zero is the
     # evaluated bracket end with the smaller |g|.
     for kind in "LKFG":
-        record = refine_zero(kind, 1, 1.0, asymptotic_zero(kind, 1, 1.0),
-                             tol=1.0)
+        record = refine_zero(asymptotic_zero(kind, 1, 1.0), tol=1.0)
         lo, hi = record.bracket
         assert lo <= record.nu_refined <= hi, kind
         g_lo = detection_value(kind, lo, 1.0)
@@ -659,7 +652,7 @@ def test_a_bool_is_not_a_zero_index():
     estimate = asymptotic_zero("K", 1, 1.0)
     for n in (True, 1.0):
         with pytest.raises(DomainError, match="positive integer"):
-            refine_zero("K", n, 1.0, estimate)
+            refine_zero(estimate._replace(n=n))
 
 
 def _one_record_of_each_type():
@@ -667,7 +660,7 @@ def _one_record_of_each_type():
     coefficients = coefficient_set(1.0, "modified")
     return (eval_function("K", 3.0, 1.0), lambert_w0(2.0), coefficients,
             correction_coefficients(coefficients.A, estimate.xi, estimate.m),
-            estimate, refine_zero("K", 3, 1.0, estimate))
+            estimate, refine_zero(estimate))
 
 
 def test_records_reject_attribute_assignment():
@@ -699,8 +692,8 @@ def test_zero_record_fields_are_the_documented_ones_in_order():
         "kind", "n", "x", "nu_asymptotic", "nu_refined", "discrepancy",
         "bracket", "residual", "partial")
     assert ZeroEstimate._fields == (
-        "kind", "n", "x", "m", "lambda_", "xi", "partial", "order")
-    assert ZeroEstimate._field_defaults == {"order": 3}
+        "kind", "n", "x", "m", "lambda_", "xi", "partial")
+    assert ZeroEstimate._field_defaults == {}
 
 
 def test_enumerate_abort_attaches_completed_records():
@@ -718,7 +711,7 @@ def test_enumerate_matches_refining_each_estimate(kind, x):
     assert [record.n for record in records] == list(range(1, 61))
     for record in records:
         n = record.n
-        want = refine_zero(kind, n, x, asymptotic_zero(kind, n, x))
+        want = refine_zero(asymptotic_zero(kind, n, x))
         differ = [name for name, got, expected
                   in zip(want._fields, record, want) if got != expected]
         assert type(record) is type(want), f"{kind} n={n}"
@@ -737,10 +730,10 @@ def test_enumerate_builds_the_coefficient_set_once(monkeypatch):
     assert calls == [(2.0, "ordinary")]
 
 
-@pytest.mark.parametrize("x,order", [(-1.0, 3), (math.nan, 3), (1.0, 7)])
-def test_enumerate_reports_invalid_arguments_at_n_1(x, order):
+@pytest.mark.parametrize("x", [-1.0, math.nan])
+def test_enumerate_reports_invalid_arguments_at_n_1(x):
     with pytest.raises(EnumerationError) as info:
-        enumerate_zeros("L", x, 3, order=order)
+        enumerate_zeros("L", x, 3)
     assert info.value.n == 1
     assert info.value.partial == ()
     assert isinstance(info.value.__cause__, DomainError)
