@@ -213,7 +213,9 @@ def detection_value(kind: object, nu: float, x: float) -> float:
     it shares every sign change with the function itself and stays order one
     at any nu.
     """
-    return _component(FunctionKind.coerce(kind), nu, x)
+    if not isinstance(kind, FunctionKind):
+        kind = FunctionKind.coerce(kind)
+    return _component(kind, nu, x)
 
 
 def eval_function(kind: object, nu: float, x: float) -> ScaledReal:

@@ -194,11 +194,13 @@ def _inside_phase_window(lo: float, hi: float,
                          estimate: ZeroEstimate) -> bool:
     # Phi increases wherever lambda nu > 1/e, and the window ends lie there,
     # so Phi within the window at both ends puts [lo, hi] inside it without
-    # the two Lambert-W solves of _phase_window.
-    lambda_, m = estimate.lambda_, estimate.m
-    return (lambda_ * lo > 1.0 / math.e
-            and phase(lo, lambda_) > m - math.pi / 4.0
-            and phase(hi, lambda_) < m + 0.75 * math.pi)
+    # the two Lambert-W solves of _phase_window. Phi is phase's expression
+    # without its check; lo > 0 keeps that check's DomainError, as a negative
+    # lambda and lo fail it and _phase_window then raises.
+    lambda_, m, quarter = estimate.lambda_, estimate.m, math.pi / 4.0
+    return (lo > 0.0 and lambda_ * lo > 1.0 / math.e
+            and lo * math.log(lambda_ * lo) + quarter > m - quarter
+            and hi * math.log(lambda_ * hi) + quarter < m + 0.75 * math.pi)
 
 
 def _brent(g: Callable[[float], float], a: float, b: float, fa: float,
@@ -253,11 +255,11 @@ def _brent(g: Callable[[float], float], a: float, b: float, fa: float,
 
 
 def _sign_above(kind: FunctionKind, n: int) -> float:
-    # The sign of the detection value just above the nth zero: consecutive
-    # zeros alternate it, and K's component enters with sign -1. The tests
-    # check it for every kind at x <= 8, n <= 500; a wrong prediction raises
-    # BracketingError, not a wrong zero.
-    return -kind.sign * (-1) ** n
+    # The sign of the detection value just above the nth zero,
+    # -kind.sign * (-1)**n: consecutive zeros alternate it, and K's component
+    # enters with sign -1. The tests check it for every kind at x <= 8,
+    # n <= 500; a wrong prediction raises BracketingError, not a wrong zero.
+    return kind.sign if n & 1 else -kind.sign
 
 
 def _straddles(g_a: float, g_b: float) -> bool:
@@ -276,7 +278,8 @@ def _half_bracket(g: Callable[[float], float], lo: float, hi: float,
     g_end = g(end)
     if g_hat == 0.0:
         return (nu_hat, g_hat, (lo, hi)) if _straddles(g_end, g(far)) else None
-    if not _straddles(g_end, g_hat):
+    # g_hat is nonzero here, so this is _straddles(g_end, g_hat).
+    if g_end == 0.0 or (g_end < 0.0) == (g_hat < 0.0):
         return None
     return (*_brent(g, end, nu_hat, g_end, g_hat, tol),
             (min(end, nu_hat), max(end, nu_hat)))

@@ -139,6 +139,32 @@ def test_log_gamma_is_bit_identical_to_the_looped_stirling_sum(re, im):
     assert log_gamma(z) == _log_gamma_reference(z)
 
 
+# From |z| = 100 on log_gamma sums three Stirling terms, not eight. On the
+# line z = 1 +- i nu the five it drops change no bit. |1 + i nu| is 100.0
+# from nu = 99.99499987499375 on, the float below is under it.
+@given(st.floats(min_value=99.0, max_value=1e6),
+       st.sampled_from((1.0, -1.0)))
+@example(99.99499987499374, 1.0)
+@example(99.99499987499375, 1.0)
+@example(99.99499987499377, 1.0)
+@example(99.99499987499374, -1.0)
+@example(99.99499987499375, -1.0)
+@example(99.99499987499377, -1.0)
+def test_log_gamma_three_term_tail_is_bit_identical_on_the_evaluator_line(
+        nu, sign):
+    z = complex(1.0, sign * nu)
+    assert log_gamma(z) == _log_gamma_reference(z)
+
+
+# Off that line the three-term tail claims accuracy, not the same bits.
+@pytest.mark.parametrize("z", [100.0 + 0j, 150.0 + 0j, 70.0 + 80.0j,
+                               0.5 + 300.0j, 1e3 + 1e3j])
+def test_log_gamma_three_term_tail_is_accurate(z):
+    mp.mp.dps = 30
+    want = complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+    assert abs(log_gamma(z) - want) <= 1e-15 * abs(want)
+
+
 @given(st.floats(min_value=1e-3, max_value=1000.0),
        st.floats(min_value=1e-3, max_value=100.0))
 def test_prefactor_is_bit_identical_to_the_complex_form(nu, x):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pathlib
+import random
 import re
 
 import pytest
@@ -436,6 +437,62 @@ def test_a_wrong_side_prediction_raises_rather_than_searching(
         assert len(calls) <= 3, f"{kind.value} n={record.n} x={x}"
 
 
+@pytest.mark.parametrize("kind", list(FunctionKind))
+def test_sign_above_alternates_from_the_kind_sign(kind):
+    for n in [*range(1, 1001), 10 ** 300 + 7]:
+        assert zerofinder._sign_above(kind, n) == -kind.sign * (-1) ** n, n
+
+
+def _inside_through_phase(lo, hi, estimate):
+    # The phase window test written with the checked public phase.
+    lambda_, m = estimate.lambda_, estimate.m
+    return (lambda_ * lo > 1.0 / math.e
+            and phase(lo, lambda_) > m - math.pi / 4.0
+            and phase(hi, lambda_) < m + 0.75 * math.pi)
+
+
+def test_the_phase_window_test_agrees_with_phase_on_the_swept_brackets(
+        monkeypatch):
+    # Every bracket refine_zero checks for the 8,000 zeros at x <= 4. All
+    # lie inside their windows; the edge test below covers the other side.
+    brackets = []
+    inside = zerofinder._inside_phase_window
+
+    def recording(*args):
+        brackets.append(args)
+        return inside(*args)
+
+    monkeypatch.setattr(zerofinder, "_inside_phase_window", recording)
+    for kind in FunctionKind:
+        for x in _SWEEP_XS[:4]:
+            enumerate_zeros(kind, x, 500)
+    assert len(brackets) == 8000
+    verdicts = [inside(*args) for args in brackets]
+    assert verdicts == [_inside_through_phase(*args) for args in brackets]
+    assert all(verdicts)
+
+
+def test_the_phase_window_test_agrees_with_phase_at_its_edge():
+    # lambda * lo within a few ulps of 1/e, and m placed so that either end
+    # may fall on either side of the window.
+    rng = random.Random(2718)
+    verdicts = []
+    for _ in range(20000):
+        lambda_ = rng.uniform(0.05, 20.0)
+        lo = 1.0 / math.e / lambda_
+        for _ in range(rng.randint(0, 4)):
+            lo = math.nextafter(lo, rng.choice((0.0, math.inf)))
+        hi = lo + rng.uniform(0.0, 4.0) / lambda_
+        m = phase(lo, lambda_) + math.pi / 4.0 + rng.uniform(-1.0, 1.0)
+        estimate = ZeroEstimate(FunctionKind.L, 1, 1.0, m, lambda_, lo,
+                                (lo, lo, lo, lo))
+        verdict = zerofinder._inside_phase_window(lo, hi, estimate)
+        assert verdict == _inside_through_phase(lo, hi, estimate), \
+            (lo, hi, m, lambda_)
+        verdicts.append(verdict)
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 1000
+
+
 @pytest.mark.parametrize("kind,x", [("L", 10.0), ("G", 11.0)])
 def test_an_estimate_outside_its_phase_window_raises_before_evaluating(
         kind, x, monkeypatch):
@@ -446,6 +503,23 @@ def test_an_estimate_outside_its_phase_window_raises_before_evaluating(
     estimate = asymptotic_zero(kind, 1, x)
     with pytest.raises(BracketingError, match="lies outside the phase window"):
         refine_zero(estimate)
+    assert calls == []
+
+
+def test_a_negative_lambda_raises_domain_error_before_evaluating(
+        monkeypatch):
+    # lambda * lo is positive when both are negative, and for this m the
+    # phase expression at the bracket -1.5 -+ 0.05 falls inside the window.
+    # The window test must refuse lo <= 0 itself, as phase does.
+    bogus = ZeroEstimate(FunctionKind.L, 1, 1.0, 1.0, -0.5, -1.5,
+                         (-1.5, -1.5, -1.5, -1.5))
+    lo, hi = -1.55, -1.45
+    assert bogus.lambda_ * lo > 1.0 / math.e
+    assert lo * math.log(bogus.lambda_ * lo) > bogus.m - math.pi / 2.0
+    assert hi * math.log(bogus.lambda_ * hi) < bogus.m + math.pi / 2.0
+    calls = _count_detection_calls(monkeypatch)
+    with pytest.raises(DomainError):
+        refine_zero(bogus)
     assert calls == []
 
 
