@@ -82,11 +82,11 @@ class ScaledReal(NamedTuple):
 def _normalized(m: float, log_scale: float) -> ScaledReal:
     # m * exp(log_scale) as a normalized ScaledReal, built once.
     if _MANTISSA_LO <= abs(m) <= _MANTISSA_HI:
-        return ScaledReal(m, log_scale)
+        return tuple.__new__(ScaledReal, (m, log_scale))
     if m == 0.0:
         return ScaledReal(0.0, 0.0)
     shift = math.log(abs(m))
-    return ScaledReal(m / math.exp(shift), log_scale + shift)
+    return tuple.__new__(ScaledReal, (m / math.exp(shift), log_scale + shift))
 
 
 def series_sum(nu: float, x: float, family: str,
@@ -117,10 +117,16 @@ def series_sum(nu: float, x: float, family: str,
     inu = complex(0.0, nu)
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
+    # |total| <= bound = 1 + sum |term|, so the stop test cannot pass while
+    # |term| exceeds 2 tol bound; the factor 2 absorbs rounding.
+    bound = 1.0
+    tol2 = 2.0 * tol
     for k1 in _K1:
         term *= z / (k1 * (k1 + inu))
         total += term
-        if abs(term) <= tol * abs(total):
+        a = abs(term)
+        bound += a
+        if a <= tol2 * bound and a <= tol * abs(total):
             if not cmath.isfinite(total):
                 raise ConvergenceError(
                     f"series sum is not finite (nu={nu!r}, x={x!r})")

@@ -54,11 +54,12 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 # Below this modulus the asymptotic series is not accurate enough; shift up.
 _SHIFT_RADIUS = 10.0
 
-# From this modulus on the Stirling sum stops after the three terms of
-# _LOG_GAMMA_HEAD: terms 4 to 8 together are below 6.1e-18 there, the fourth
+# From this modulus on the Stirling sum stops after its first three terms:
+# terms 4 to 8 together are below 6.1e-18 there, the fourth
 # 1/(1680 |z|^7) and the other four under 1e-21.
 _TAIL_RADIUS = 100.0
-_LOG_GAMMA_HEAD = _LOG_GAMMA_TERMS[:3]
+# The coefficients, named by the power of 1/z each multiplies.
+_C1, _C3, _C5, _C7, _C9, _C11, _C13, _C15 = _LOG_GAMMA_TERMS
 
 # z * z overflows from |z| = 1.34e154 on; below this bound |z|^2 < 1e308
 # and |(z - 0.5) log z| < 1e157, so the Stirling series stays finite.
@@ -82,20 +83,30 @@ def log_gamma(z: complex) -> complex:
             f"got z = {z!r}")
 
     # Recurrence shift: log Gamma(z) = log Gamma(z + k) - sum log(z + j).
-    shift = 0.0 + 0.0j
-    while r < _SHIFT_RADIUS:
-        shift += cmath.log(z)
-        z += 1.0
-        r = abs(z)
+    shifted = r < _SHIFT_RADIUS
+    if shifted:
+        shift = 0.0 + 0.0j
+        while r < _SHIFT_RADIUS:
+            shift += cmath.log(z)
+            z += 1.0
+            r = abs(z)
 
-    # Stirling series at the shifted argument.
-    total = (z - 0.5) * cmath.log(z) - z + _HALF_LOG_TWO_PI
+    # Stirling series at the shifted argument, in the powers 1/z^(2j-1).
     zinv2 = 1.0 / (z * z)
-    power = 1.0 / z
-    for coeff in _LOG_GAMMA_TERMS if r < _TAIL_RADIUS else _LOG_GAMMA_HEAD:
-        total += coeff * power
-        power *= zinv2
-    return total - shift
+    p1 = 1.0 / z
+    p3 = p1 * zinv2
+    p5 = p3 * zinv2
+    total = ((z - 0.5) * cmath.log(z) - z + _HALF_LOG_TWO_PI
+             + _C1 * p1 + _C3 * p3 + _C5 * p5)
+    if r < _TAIL_RADIUS:
+        p7 = p5 * zinv2
+        p9 = p7 * zinv2
+        p11 = p9 * zinv2
+        p13 = p11 * zinv2
+        p15 = p13 * zinv2
+        total = (total + _C7 * p7 + _C9 * p9 + _C11 * p11 + _C13 * p13
+                 + _C15 * p15)
+    return total - shift if shifted else total
 
 
 def recip_gamma_prefactor(nu: float, x: float) -> complex:

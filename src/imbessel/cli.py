@@ -117,11 +117,12 @@ def cmd_zeros(args: argparse.Namespace, out) -> int:
                                args.tol)]
     else:
         records = enumerate_zeros(kind, args.x, args.n_max, args.tol)
-    # Report the partial sum --order selects as each zero's estimate.
+    # Report the partial sum --order selects; the records carry partial[3].
     order = args.order
-    records = [r._replace(nu_asymptotic=r.partial[order],
-                          discrepancy=abs(r.partial[order] - r.nu_refined))
-               for r in records]
+    if order != 3:
+        records = [r._replace(nu_asymptotic=r.partial[order],
+                              discrepancy=abs(r.partial[order] - r.nu_refined))
+                   for r in records]
 
     if args.format == "json":
         out.write(json.dumps([_record_json(r) for r in records]) + "\n")

@@ -81,7 +81,7 @@ def lambert_w0(z: float) -> WResult:
     else:
         raise ConvergenceError(f"lambert_w0 did not converge for z = {z!r}")
 
-    return WResult(w, abs(w * math.exp(w) - z))
+    return tuple.__new__(WResult, (w, abs(w * math.exp(w) - z)))
 
 
 def _log_space_newton(z: float, w: float) -> WResult:

@@ -168,7 +168,8 @@ def _estimate(kind: FunctionKind, n: int, x: float,
         raise DomainError(f"the estimate of {kind.value} n={n} x={x!r} "
                           f"overflows a float") from exc
     lambda_ = 2.0 / (math.e * x)
-    xi = leading_xi(m, lambda_)
+    # leading_xi's checks hold: m > 0, and coefficient_set took x < 1.4e31.
+    xi = m / lambert_w0(lambda_ * m).w
     threshold = max(2.0, x)
     if not (xi > threshold):
         raise UnreliableAsymptoticsError(xi, threshold)
@@ -178,7 +179,8 @@ def _estimate(kind: FunctionKind, n: int, x: float,
     p1 = p0 + B0 / m
     p2 = p1 + B1 / m3
     p3 = p2 + B2 / m5
-    return ZeroEstimate(kind, n, float(x), m, lambda_, xi, (p0, p1, p2, p3))
+    return tuple.__new__(ZeroEstimate,
+                         (kind, n, float(x), m, lambda_, xi, (p0, p1, p2, p3)))
 
 
 def _phase_window(estimate: ZeroEstimate) -> tuple[float, float]:
@@ -262,12 +264,7 @@ def _sign_above(kind: FunctionKind, n: int) -> float:
     return kind.sign if n & 1 else -kind.sign
 
 
-def _straddles(g_a: float, g_b: float) -> bool:
-    # g_a and g_b are nonzero and differ in sign.
-    return g_a != 0.0 and g_b != 0.0 and (g_a < 0.0) != (g_b < 0.0)
-
-
-def _half_bracket(g: Callable[[float], float], lo: float, hi: float,
+def _half_bracket(kind: FunctionKind, x: float, lo: float, hi: float,
                   nu_hat: float, g_hat: float, sign_above: float, tol: float
                   ) -> tuple[float, float, tuple[float, float]] | None:
     # Solve on the closed half of [lo, hi] that the sign of g_hat puts across
@@ -275,14 +272,22 @@ def _half_bracket(g: Callable[[float], float], lo: float, hi: float,
     # predicted end shows no sign change. A zero at the estimate, g_hat 0.0,
     # needs the far end to bracket it with ends that change sign.
     end, far = (lo, hi) if (g_hat > 0.0) == (sign_above > 0.0) else (hi, lo)
-    g_end = g(end)
+    g_end = detection_value(kind, end, x)
     if g_hat == 0.0:
-        return (nu_hat, g_hat, (lo, hi)) if _straddles(g_end, g(far)) else None
-    # g_hat is nonzero here, so this is _straddles(g_end, g_hat).
+        g_far = detection_value(kind, far, x)
+        return ((nu_hat, g_hat, (lo, hi)) if g_end != 0.0 != g_far
+                and (g_end < 0.0) != (g_far < 0.0) else None)
+    # No sign change between g_end and g_hat, which is nonzero here.
     if g_end == 0.0 or (g_end < 0.0) == (g_hat < 0.0):
         return None
-    return (*_brent(g, end, nu_hat, g_end, g_hat, tol),
-            (min(end, nu_hat), max(end, nu_hat)))
+    bracket = (end, nu_hat) if end < nu_hat else (nu_hat, end)
+    # _brent's first pass: a bracket within its stopping step returns the end
+    # with the smaller |g|, nu_hat on a tie, and needs no g.
+    b, g_b = (end, g_end) if abs(g_end) < abs(g_hat) else (nu_hat, g_hat)
+    if abs(0.5 * (end - nu_hat)) <= 2.0 * _EPS * abs(b) + 0.5 * tol:
+        return b, g_b, bracket
+    return (*_brent(lambda nu: detection_value(kind, nu, x), end, nu_hat,
+                    g_end, g_hat, tol), bracket)
 
 
 def refine_zero(estimate: ZeroEstimate,
@@ -308,17 +313,15 @@ def refine_zero(estimate: ZeroEstimate,
     estimate, for an estimate outside its clamped bracket, both before any
     evaluation, and when neither bracket shows a sign change.
     """
-    kind = FunctionKind.coerce(estimate.kind)
-    n = _positive_int("n", estimate.n)
-    x = estimate.x
+    kind, n, x, _, _, _, partial = estimate
+    kind = FunctionKind.coerce(kind)
+    n = _positive_int("n", n)
     if not (0.0 < tol < math.inf):
         raise DomainError(f"refine_zero requires finite tol > 0, got {tol!r}")
 
-    def g(nu: float) -> float:
-        return detection_value(kind, nu, x)
-
-    nu_hat = estimate.partial[3]
-    h = max(0.05, 2.0 * abs(estimate.partial[3] - estimate.partial[2]))
+    nu_hat = partial[3]
+    last = abs(nu_hat - partial[2])
+    h = max(0.05, 2.0 * last)
     if nu_hat - h == nu_hat or nu_hat + h == nu_hat:
         raise DomainError(
             f"estimate nu = {nu_hat!r} -+ {h!r} rounds onto the estimate: "
@@ -333,28 +336,27 @@ def refine_zero(estimate: ZeroEstimate,
                 f"estimate nu = {nu_hat!r} lies outside the phase window "
                 f"({window[0]!r}, {window[1]!r}) for {kind.value} n={n} "
                 f"x={x!r}", (lo, hi))
-    g_hat = g(nu_hat)
+    g_hat = detection_value(kind, nu_hat, x)
     sign_above = _sign_above(kind, n)
     # The solver's stopping step: a sign change there ends _brent at once.
     step = 2.0 * _EPS * abs(nu_hat) + 0.5 * tol
     found = None
-    if (abs(estimate.partial[3] - estimate.partial[2]) < _PROBE_STEPS * step
-            and step <= h):
-        found = _half_bracket(g, max(lo, nu_hat - step),
+    if last < _PROBE_STEPS * step and step <= h:
+        found = _half_bracket(kind, x, max(lo, nu_hat - step),
                               min(hi, nu_hat + step), nu_hat, g_hat,
                               sign_above, tol)
     if found is None:
-        found = _half_bracket(g, lo, hi, nu_hat, g_hat, sign_above, tol)
+        found = _half_bracket(kind, x, lo, hi, nu_hat, g_hat, sign_above,
+                              tol)
     if found is None:
         raise BracketingError(
             f"no sign change of the detection value for "
             f"{kind.value} n={n} x={x!r}", (lo, hi))
 
     nu_refined, g_refined, bracket = found
-    return ZeroRecord(kind, n, x, nu_hat, nu_refined,
-                      abs(nu_hat - nu_refined), bracket,
-                      _normalized(g_refined, kind.log_scale(nu_refined)),
-                      estimate.partial)
+    return tuple.__new__(ZeroRecord, (
+        kind, n, x, nu_hat, nu_refined, abs(nu_hat - nu_refined), bracket,
+        _normalized(g_refined, kind.log_scale(nu_refined)), partial))
 
 
 def enumerate_zeros(kind: object, x: float, n_max: int,

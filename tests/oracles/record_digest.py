@@ -1,10 +1,15 @@
-"""Print two SHA-256 digests that pin refined zeros and CLI output bit for bit.
+"""Print three SHA-256 digests that pin zeros, CLI output and evaluations.
 
 The first digest covers every field of every ZeroRecord, floats as
 float.hex, from enumerate_zeros for each kind, x in XS and n <= N_MAX. The
 second covers the exit code, stdout and stderr of each argv in CLI_ARGVS,
 run in-process through imbessel.cli.main: every command, every format, every
---order value and the error exits.
+--order value and the error exits. The third covers EVAL_POINTS seeded
+points (nu, x, z): eval_function and detection_value for every kind,
+series_sum for both families at +-nu, and log_gamma at z off the line
+1 + i nu, with nu from 1e-3 to 1e4 (the shift loop, eight and three
+Stirling terms) and x from 1e-2 to 40, plus the inputs in EVAL_ERRORS;
+a raised error counts by its class and message.
 
 Run it in two checkouts on one machine and compare the lines: a change that
 claims the same bits must print the same digests. It is not a test, because
@@ -18,14 +23,17 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import os
+import random
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from imbessel import FunctionKind, enumerate_zeros  # noqa: E402
+from imbessel import (FunctionKind, detection_value,  # noqa: E402
+                      enumerate_zeros, eval_function, log_gamma, series_sum)
 from imbessel.cli import main  # noqa: E402
 
 XS = (0.5, 1.0, 2.0, 4.0, 8.0)
@@ -53,11 +61,25 @@ CLI_ARGVS = (
     ["zeros", "--kind", "L", "--order", "4"],
 )
 
+EVAL_SEED = 20260101
+EVAL_POINTS = 4000
+# (nu, x, z) inputs that raise: nu at or below 0 or NU_MIN, x at or below
+# 0, non-finite arguments, a series that does not converge or overflows, and
+# z outside log_gamma's half-plane and modulus bound.
+EVAL_ERRORS = (
+    (0.0, 1.0, 0j), (-1.0, 1.0, -1 + 1j), (5e-4, 1.0, 1e154 + 0j),
+    (1.0, 0.0, complex(1.0, math.inf)), (math.nan, -1.0, complex(math.nan)),
+    (math.inf, math.inf, 1e200 + 1e200j), (1.0, 670.0, 0.5 - 2e154j),
+    (5.0, 1e4, complex(-0.0, 3.0)),
+)
+
 
 def _hex(value: object) -> str:
     # Floats as float.hex, tuples field by field, anything else by str.
     if isinstance(value, float):
         return value.hex()
+    if isinstance(value, complex):
+        return _hex((value.real, value.imag))
     if isinstance(value, tuple):
         return "(" + ",".join(_hex(item) for item in value) + ")"
     if isinstance(value, FunctionKind):
@@ -89,6 +111,39 @@ def cli_digest() -> tuple[str, int]:
     return digest.hexdigest(), len(CLI_ARGVS)
 
 
+def _eval_points() -> list[tuple[float, float, complex]]:
+    rng = random.Random(EVAL_SEED)
+    points = []
+    for _ in range(EVAL_POINTS):
+        nu = 10.0 ** rng.uniform(-3.0, 4.0)
+        x = 10.0 ** rng.uniform(-2.0, math.log10(40.0))
+        z = complex(10.0 ** rng.uniform(-3.0, 3.0),
+                    rng.uniform(-1.5, 1.5) * nu)
+        points.append((nu, x, z))
+    return points + list(EVAL_ERRORS)
+
+
+def eval_digest() -> tuple[str, int]:
+    digest, count = hashlib.sha256(), 0
+    for nu, x, z in _eval_points():
+        calls = [(function, (kind, nu, x)) for kind in FunctionKind
+                 for function in (eval_function, detection_value)]
+        calls += [(series_sum, (sign * nu, x, family)) for sign in (1.0, -1.0)
+                  for family in ("modified", "ordinary")]
+        calls.append((log_gamma, (z,)))
+        for function, args in calls:
+            try:
+                result = _hex(function(*args))
+            except Exception as exc:
+                # Whatever a call raises is part of its output.
+                result = f"{type(exc).__name__}: {exc}"
+            digest.update(f"{function.__name__}{_hex(args)} {result}\n"
+                          .encode())
+            count += 1
+    return digest.hexdigest(), count
+
+
 if __name__ == "__main__":
     print("records %s %d" % record_digest())
     print("cli %s %d" % cli_digest())
+    print("evals %s %d" % eval_digest())

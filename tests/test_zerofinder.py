@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import collections
+import importlib
+import importlib.util
 import math
 import pathlib
 import random
@@ -575,6 +578,49 @@ def test_refine_zero_evaluates_through_the_zerofinder_detection_value(
     assert len(series) == len(calls)
 
 
+def _perfbench_spans():
+    # The benchmark's layer tracer, loaded from its file.
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+@pytest.mark.parametrize("x", [0.5, 4.0])
+@pytest.mark.parametrize("kind", list(FunctionKind))
+def test_an_enumeration_calls_every_traced_layer_through_its_module(
+        kind, x):
+    # The benchmark's tracer wraps each layer's module attributes; a layer
+    # fused away or called around its attribute changes these counts.
+    spans = _perfbench_spans()
+    tracer = spans.Tracer()
+    tracer.install({name: importlib.import_module(f"imbessel.{name}")
+                    for name in spans.LAYERS})
+    try:
+        zerofinder.enumerate_zeros(kind, x, 500)
+    finally:
+        tracer.uninstall()
+    names = [spans.FUNCTIONS[function] for function in tracer.function]
+    calls = collections.Counter(names)
+    for per_zero in ("zerofinder.refine_zero", "lambertw.lambert_w0",
+                     "asymcoeff.correction_coefficients"):
+        assert calls[per_zero] == 500, per_zero
+    evaluations = calls["besseval.detection_value"]
+    assert evaluations >= 1000
+    for per_evaluation in ("cgamma.recip_gamma_prefactor",
+                           "cgamma.log_gamma", "besseval.series_sum"):
+        assert calls[per_evaluation] == evaluations, per_evaluation
+    # Each evaluation layer runs inside the one above it.
+    inside = {"besseval.detection_value": "zerofinder.refine_zero",
+              "besseval.series_sum": "besseval.detection_value",
+              "cgamma.recip_gamma_prefactor": "besseval.detection_value",
+              "cgamma.log_gamma": "cgamma.recip_gamma_prefactor"}
+    for name, parent in zip(names, tracer.parent):
+        if name in inside:
+            assert names[parent] == inside[name], name
+
+
 @pytest.mark.parametrize("n", [1, 400])
 def test_an_exact_zero_at_the_estimate_is_confirmed_by_both_ends(
         n, monkeypatch):
@@ -608,6 +654,29 @@ def test_brent_returns_an_interior_iterate_where_g_is_exactly_zero():
     assert evaluated and 0.0 < evaluated[0] < 1.0
     assert got == (evaluated[0], 0.0)
     assert len(evaluated) == 1
+
+
+@pytest.mark.parametrize("g_end", [-0.25, -0.5, -0.75])
+def test_a_bracket_within_the_stopping_step_returns_what_brent_returns(
+        g_end, monkeypatch):
+    # The probe bracket needs no solver step: the half bracket returns
+    # _brent's answer, the end with the smaller |g| and the estimate on a
+    # tie, and evaluates nothing past the end.
+    nu_hat, tol = 1000.0, 1e-12
+    step = 2.0 * math.ulp(1.0) * nu_hat + 0.5 * tol
+    calls = []
+    monkeypatch.setattr(zerofinder, "detection_value",
+                        lambda kind, nu, x: calls.append(nu) or g_end)
+
+    def no_call(nu):
+        raise AssertionError("the solver evaluated")
+
+    want = zerofinder._brent(no_call, nu_hat - step, nu_hat, g_end, 0.5, tol)
+    got = zerofinder._half_bracket(FunctionKind.K, 1.0, nu_hat - step,
+                                   nu_hat + step, nu_hat, 0.5, 1.0, tol)
+    assert got == (*want, (nu_hat - step, nu_hat))
+    assert calls == [nu_hat - step]
+    assert want[0] == (nu_hat - step if g_end == -0.25 else nu_hat)
 
 
 def test_a_tolerance_coarser_than_the_bracket_still_lands_inside_it():
