@@ -17,8 +17,8 @@ The prefactor's modulus, sqrt(sinh(pi nu) / (pi nu)) by DLMF 5.4.3, and the
 hyperbolic weight combine into one closed-form scale per kind, whose log is
 the log_scale of the value and cannot overflow.
 
-FunctionKind holds these facts for each kind, along with the quarter-pi
-offset of its zeros, and both evaluators and the zero finder read them there.
+FunctionKind holds these facts for each kind, with the quarter-pi offset and
+uniform phase of its zeros; the evaluators and the zero finder read them.
 
 Zeros in nu are located on the unit-normalized value unit_phase * series_sum:
 the positive scale can neither create nor destroy sign changes, and
@@ -155,21 +155,37 @@ def _log_scale_g(nu: float) -> float:
     return -0.5 * math.log(u * math.tanh(u))
 
 
+def _uniform_phase_lk(nu: float, x: float) -> float:
+    # nu acosh(nu / x) - sqrt(nu^2 - x^2), L and K's uniform phase less pi/4
+    # (DLMF 10.41), held below the turning point x at its value 0.0 there.
+    if nu <= x:
+        return 0.0
+    return nu * math.acosh(nu / x) - math.sqrt((nu - x) * (nu + x))
+
+
+def _uniform_phase_fg(nu: float, x: float) -> float:
+    # nu asinh(nu / x) - sqrt(nu^2 + x^2), the uniform phase of F and G less
+    # its pi/4 (DLMF 10.20); it increases for nu > 0.
+    return nu * math.asinh(nu / x) - math.hypot(nu, x)
+
+
 class FunctionKind(enum.Enum):
     """The four real functions and every fact that tells them apart.
 
     The value is the letter. The attributes are the series `family`, the
     component of the unit value taken (Im if `imaginary`, else Re, times
     `sign`), `log_scale(nu)`, the log of the positive factor that the unit
-    value drops, and the `quarter` offset in m = (n +- 1/4) pi.
+    value drops, the `quarter` offset in m = (n +- 1/4) pi, and the family's
+    `uniform_phase(nu, x)` less pi/4, close to m at the nth zero at any x.
     """
 
-    L = "L", "modified", False, 1.0, _log_scale_lk, 0.25
-    K = "K", "modified", True, -1.0, _log_scale_lk, -0.25
-    F = "F", "ordinary", False, 1.0, _log_scale_f, 0.25
-    G = "G", "ordinary", True, 1.0, _log_scale_g, -0.25
+    L = "L", "modified", False, 1.0, _log_scale_lk, 0.25, _uniform_phase_lk
+    K = "K", "modified", True, -1.0, _log_scale_lk, -0.25, _uniform_phase_lk
+    F = "F", "ordinary", False, 1.0, _log_scale_f, 0.25, _uniform_phase_fg
+    G = "G", "ordinary", True, 1.0, _log_scale_g, -0.25, _uniform_phase_fg
 
-    def __new__(cls, letter, family, imaginary, sign, log_scale, quarter):
+    def __new__(cls, letter, family, imaginary, sign, log_scale, quarter,
+                uniform_phase):
         member = object.__new__(cls)
         member._value_ = letter
         member.family = family
@@ -177,6 +193,7 @@ class FunctionKind(enum.Enum):
         member.sign = sign
         member.log_scale = log_scale
         member.quarter = quarter
+        member.uniform_phase = uniform_phase
         return member
 
     @classmethod

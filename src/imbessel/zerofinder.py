@@ -1,30 +1,25 @@
 """Asymptotic nu-zero estimates and their refinement to machine accuracy.
 
-For each function kind the zeros in nu at fixed x are quantized by the phase
-Phi(nu) = nu * log(lambda * nu) + pi/4 with lambda = 2/(e x): L and F vanish
-near Phi = (n + 1/2) pi, K and G near Phi = n pi. Writing m for (n + 1/4) pi
-or (n - 1/4) pi accordingly (FunctionKind.m_value; the kind, defined in
-besseval, also names the series family the coefficient set is built for),
-the leading zero solves xi * log(lambda xi) = m, which the Lambert W
-function inverts as xi = m / W(lambda m); three further corrections
-B_k / m^{2k+1} from the coefficient pipeline complete the estimate.
-Refinement takes the estimate alone: it brackets the sign change of the
-unit-normalized function value around the estimate, guarded so the bracket
-can never leak to an adjacent zero, and closes in on it with Brent-Dekker's
-zeroin started from the estimate. The sign of that value at the estimate
-says on which side of it the zero lies: only the bracket end across the zero
-is evaluated, in at most two brackets, far out first one solver stopping
-step away, which proves the zero in two evaluations, then the estimate's
-own half-width; no sign change in either raises. The zero is the solver's
-best evaluated point of the closed bracket, so its residual costs no
-evaluation.
-The coefficient set depends on x and the family only, so an enumeration
-builds it once for all zeros.
+The zeros in nu at fixed x are numbered by a phase. The estimate takes the
+large-order phase Phi(nu) = nu * log(lambda * nu) + pi/4, lambda = 2/(e x):
+L and F vanish near Phi = (n + 1/2) pi, K and G near Phi = n pi. With m the
+kind's (n + 1/4) pi or (n - 1/4) pi (FunctionKind.m_value), the leading zero
+solves xi * log(lambda xi) = m as xi = m / W(lambda m) (Lambert W), and three
+corrections B_k / m^{2k+1} complete the estimate; their coefficient set
+depends on x and the kind's series family only, so an enumeration builds it
+once. Phi is the nu >> x limit of the uniform (Debye) phase Psi (Dunster,
+SIAM J. Math. Anal. 21, 1990; DLMF 10.20, 10.41), whose Psi - pi/4,
+FunctionKind.uniform_phase, is close to m at the nth zero at any x and a
+full pi from it at the next zeros. Refinement takes the estimate alone: it
+brackets the sign change of the unit-normalized function value around it,
+with ends where Psi - pi/4 is within pi/2 of m, so the bracket can never
+leak to an adjacent zero, and closes in with Brent-Dekker's zeroin started
+from the estimate, evaluating only the bracket end across the zero: far out
+first one solver stopping step away, then the estimate's own half-width.
 
 ZeroEstimate and ZeroRecord, like every record of the package, are immutable
-typing.NamedTuples: a record unpacks and indexes as a tuple, equals a plain
-tuple of its values, and has _replace and _asdict where dataclasses.replace
-and dataclasses.asdict no longer apply.
+typing.NamedTuples: a record unpacks, indexes and compares as the plain
+tuple of its values, and has _replace and _asdict.
 """
 
 from __future__ import annotations
@@ -183,26 +178,12 @@ def _estimate(kind: FunctionKind, n: int, x: float,
                          (kind, n, float(x), m, lambda_, xi, (p0, p1, p2, p3)))
 
 
-def _phase_window(estimate: ZeroEstimate) -> tuple[float, float]:
-    # The nu-interval on which Phi stays within pi/2 of the zero's target.
-    # Phi(leading_xi(c, lambda)) = c + pi/4, so the window ends are the
-    # leading solutions at m -+ pi/2; the adjacent zeros sit a full pi away.
-    half = math.pi / 2.0
-    return (leading_xi(estimate.m - half, estimate.lambda_),
-            leading_xi(estimate.m + half, estimate.lambda_))
-
-
 def _inside_phase_window(lo: float, hi: float,
                          estimate: ZeroEstimate) -> bool:
-    # Phi increases wherever lambda nu > 1/e, and the window ends lie there,
-    # so Phi within the window at both ends puts [lo, hi] inside it without
-    # the two Lambert-W solves of _phase_window. Phi is phase's expression
-    # without its check; lo > 0 keeps that check's DomainError, as a negative
-    # lambda and lo fail it and _phase_window then raises.
-    lambda_, m, quarter = estimate.lambda_, estimate.m, math.pi / 4.0
-    return (lo > 0.0 and lambda_ * lo > 1.0 / math.e
-            and lo * math.log(lambda_ * lo) + quarter > m - quarter
-            and hi * math.log(lambda_ * hi) + quarter < m + 0.75 * math.pi)
+    # The kind's uniform phase within pi/2 of m at both ends; it increases
+    # on the window, and the adjacent zeros sit a full pi away.
+    psi, x, m = estimate.kind.uniform_phase, estimate.x, estimate.m
+    return m - math.pi / 2.0 < psi(lo, x) and psi(hi, x) < m + math.pi / 2.0
 
 
 def _brent(g: Callable[[float], float], a: float, b: float, fa: float,
@@ -295,9 +276,9 @@ def refine_zero(estimate: ZeroEstimate,
     """Refine an asymptotic estimate to a machine-accurate zero.
 
     The estimate names the zero: its kind, n and x are the request. Brackets
-    the unit-normalized detection value g around the estimate nu_hat, with
-    the half-width h seeded by the last correction term and clamped to the
-    phase window, which is solved for only when nu_hat -+ h may leave it.
+    the unit-normalized detection value g around the estimate nu_hat in
+    nu_hat -+ h, h seeded by the last correction term, whose ends must keep
+    the kind's uniform phase within pi/2 of m, the zero's phase window.
     Just above the nth zero g has the sign -kind.sign * (-1)**n, so
     g(nu_hat) tells which end lies across the zero, and only that end is
     evaluated; a Brent-Dekker solver then starts from the estimate on that
@@ -308,13 +289,16 @@ def refine_zero(estimate: ZeroEstimate,
     ends of a bracket change sign. The zero returned is the solver's best
     evaluated point, whose residual costs no evaluation.
     Raises DomainError for an estimate whose n is not a positive integer,
-    for tol outside (0, inf) or when nu_hat -+ h rounds onto nu_hat, past
-    the float resolution, and BracketingError, which signals an invalid
-    estimate, for an estimate outside its clamped bracket, both before any
-    evaluation, and when neither bracket shows a sign change.
+    for tol outside (0, inf), when nu_hat -+ h rounds onto nu_hat, past
+    the float resolution, or when nu_hat - h <= 0, and BracketingError,
+    which signals an invalid estimate or one too far from its zero for h,
+    when nu_hat -+ h leaves the phase window, both before any evaluation,
+    and when neither bracket shows a sign change.
     """
     kind, n, x, _, _, _, partial = estimate
     kind = FunctionKind.coerce(kind)
+    if kind is not estimate.kind:
+        estimate = estimate._replace(kind=kind)
     n = _positive_int("n", n)
     if not (0.0 < tol < math.inf):
         raise DomainError(f"refine_zero requires finite tol > 0, got {tol!r}")
@@ -327,24 +311,22 @@ def refine_zero(estimate: ZeroEstimate,
             f"estimate nu = {nu_hat!r} -+ {h!r} rounds onto the estimate: "
             f"{kind.value} n={n} x={x!r} is past the float resolution")
     lo, hi = nu_hat - h, nu_hat + h
+    if not lo > 0.0:
+        raise DomainError(f"estimate nu = {nu_hat!r} -+ {h!r} reaches "
+                          f"nu <= 0: {kind.value} n={n} x={x!r}")
+    # A bracket that leaves the window may hold another zero than this one.
     if not _inside_phase_window(lo, hi, estimate):
-        window = _phase_window(estimate)
-        lo, hi = max(window[0], lo), min(window[1], hi)
-        # An estimate outside its clamped bracket cannot belong to this zero.
-        if not lo < nu_hat < hi:
-            raise BracketingError(
-                f"estimate nu = {nu_hat!r} lies outside the phase window "
-                f"({window[0]!r}, {window[1]!r}) for {kind.value} n={n} "
-                f"x={x!r}", (lo, hi))
+        raise BracketingError(
+            f"estimate nu = {nu_hat!r} -+ {h!r} leaves the phase window "
+            f"of {kind.value} n={n} x={x!r}", (lo, hi))
     g_hat = detection_value(kind, nu_hat, x)
     sign_above = _sign_above(kind, n)
     # The solver's stopping step: a sign change there ends _brent at once.
     step = 2.0 * _EPS * abs(nu_hat) + 0.5 * tol
     found = None
     if last < _PROBE_STEPS * step and step <= h:
-        found = _half_bracket(kind, x, max(lo, nu_hat - step),
-                              min(hi, nu_hat + step), nu_hat, g_hat,
-                              sign_above, tol)
+        found = _half_bracket(kind, x, nu_hat - step, nu_hat + step,
+                              nu_hat, g_hat, sign_above, tol)
     if found is None:
         found = _half_bracket(kind, x, lo, hi, nu_hat, g_hat, sign_above,
                               tol)

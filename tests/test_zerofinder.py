@@ -10,6 +10,7 @@ import pathlib
 import random
 import re
 
+import mpmath as mp
 import pytest
 
 from imbessel import (BracketingError, DomainError, EnumerationError,
@@ -235,28 +236,6 @@ def test_refine_zero_rejects_estimates_outside_the_phase_window():
     with pytest.raises(BracketingError) as info:
         refine_zero(bogus)
     assert "phase window" in str(info.value)
-    assert info.value.bracket[0] >= info.value.bracket[1]
-
-
-def test_the_phase_window_is_solved_only_when_the_bracket_may_leave_it(
-        monkeypatch):
-    calls = []
-    solve = zerofinder._phase_window
-
-    def counting(estimate):
-        calls.append(estimate)
-        return solve(estimate)
-
-    monkeypatch.setattr(zerofinder, "_phase_window", counting)
-    kind = FunctionKind.K
-    real = asymptotic_zero(kind, 1, 1.0)
-    refine_zero(real)
-    assert calls == []
-    bogus = ZeroEstimate(kind, 1, 1.0, real.m, real.lambda_, 20.0,
-                         (20.0, 20.0, 20.0, 20.0))
-    with pytest.raises(BracketingError):
-        refine_zero(bogus)
-    assert calls == [bogus]
 
 
 def test_refine_zero_secant_polish_beats_the_bisection_tolerance(reference):
@@ -475,36 +454,107 @@ def test_the_phase_window_test_agrees_with_phase_on_the_swept_brackets(
     assert all(verdicts)
 
 
-def test_the_phase_window_test_agrees_with_phase_at_its_edge():
-    # lambda * lo within a few ulps of 1/e, and m placed so that either end
-    # may fall on either side of the window.
-    rng = random.Random(2718)
-    verdicts = []
-    for _ in range(20000):
-        lambda_ = rng.uniform(0.05, 20.0)
-        lo = 1.0 / math.e / lambda_
-        for _ in range(rng.randint(0, 4)):
-            lo = math.nextafter(lo, rng.choice((0.0, math.inf)))
-        hi = lo + rng.uniform(0.0, 4.0) / lambda_
-        m = phase(lo, lambda_) + math.pi / 4.0 + rng.uniform(-1.0, 1.0)
-        estimate = ZeroEstimate(FunctionKind.L, 1, 1.0, m, lambda_, lo,
-                                (lo, lo, lo, lo))
-        verdict = zerofinder._inside_phase_window(lo, hi, estimate)
-        assert verdict == _inside_through_phase(lo, hi, estimate), \
-            (lo, hi, m, lambda_)
-        verdicts.append(verdict)
-    assert verdicts.count(True) > 1000 and verdicts.count(False) > 1000
+def _mp_uniform_phase(kind, nu, x):
+    # The uniform phase less pi/4 at 40 digits, for nu > x with L and K.
+    with mp.workdps(40):
+        nu, x = mp.mpf(nu), mp.mpf(x)
+        if kind.family == "modified":
+            return nu * mp.acosh(nu / x) - mp.sqrt(nu ** 2 - x ** 2)
+        return nu * mp.asinh(nu / x) - mp.sqrt(nu ** 2 + x ** 2)
 
 
-@pytest.mark.parametrize("kind,x", [("L", 10.0), ("G", 11.0)])
+def _flip(inside, outside, verdict):
+    # Bisect the floats between an end whose verdict is True and one whose
+    # verdict is False down to two adjacent floats.
+    while math.nextafter(inside, outside) != outside:
+        mid = 0.5 * (inside + outside)
+        if verdict(mid):
+            inside = mid
+        else:
+            outside = mid
+    return inside, outside
+
+
+@pytest.mark.parametrize("kind", list(FunctionKind))
+def test_the_phase_window_edge_is_where_the_uniform_phase_is_m_pm_half_pi(
+        kind):
+    # For each random (x, n), the lower end and then the upper end is moved
+    # to where the verdict flips. The floats one ulp either side of the
+    # flip must straddle m -+ pi/2 in the uniform phase computed by mpmath,
+    # up to the rounding of the float phase.
+    rng = random.Random(1990)
+    half = math.pi / 2.0
+    for _ in range(40):
+        x, n = rng.uniform(0.3, 30.0), rng.randint(1, 200)
+        m = kind.m_value(n)
+        estimate = ZeroEstimate(kind, n, x, m, 2.0 / (math.e * x), 1.0,
+                                (1.0, 1.0, 1.0, 1.0))
+        # A point in the window, where the phase crosses m, and points below
+        # and above the window: at 0.5 x the phase is 0.0 (L, K) or < 0.
+        middle = _flip(x + 3.0 * m, x, lambda nu: kind.uniform_phase(nu, x)
+                       > m)[0]
+        below, above = 0.5 * x, x + 3.0 * m
+        assert kind.uniform_phase(above, x) > m + half
+        inside, outside = _flip(middle, below, lambda lo: zerofinder
+                                ._inside_phase_window(lo, middle, estimate))
+        tol = 1e-14 * (m + outside * (1.0 + math.log(outside / x + 2.0)))
+        assert _mp_uniform_phase(kind, outside, x) < m - half + tol
+        assert _mp_uniform_phase(kind, inside, x) > m - half - tol
+        inside, outside = _flip(middle, above, lambda hi: zerofinder
+                                ._inside_phase_window(middle, hi, estimate))
+        assert _mp_uniform_phase(kind, inside, x) < m + half + tol
+        assert _mp_uniform_phase(kind, outside, x) > m + half - tol
+        # L and K at or below the turning point are outside every window.
+        if kind.family == "modified":
+            for lo in (0.5 * x, math.nextafter(x, 0.0), x):
+                assert kind.uniform_phase(lo, x) == 0.0
+                for hi in (x, middle):
+                    assert zerofinder._inside_phase_window(
+                        lo, hi, estimate) is False
+
+
+def _mp_changes_sign(kind, lo, hi, x):
+    # Whether the kind's component of I or J at order i nu, which has the
+    # sign of the function, changes sign on [lo, hi]; at 80 digits, as at 40
+    # mpmath loses the leading digits of L and K by n = 50.
+    with mp.workdps(80):
+        bessel = mp.besseli if kind.family == "modified" else mp.besselj
+        parts = [bessel(1j * mp.mpf(nu), x) for nu in (lo, hi)]
+        values = [part.imag if kind.imaginary else part.real
+                  for part in parts]
+        return (values[0] < 0) != (values[1] < 0)
+
+
+@pytest.mark.parametrize("x", [10.0, 20.0, 30.0])
+@pytest.mark.parametrize("kind", list(FunctionKind))
+def test_large_x_zeros_enumerate_and_match_mpmath(kind, x):
+    # The uniform phase window holds every zero n <= 500 at these x, where
+    # the large-order phase refused L and K n = 1 from x = 10.
+    records = enumerate_zeros(kind, x, 500)
+    assert len(records) == 500
+    for n in (1, 2, 10, 50):
+        nu = records[n - 1].nu_refined
+        assert _mp_changes_sign(kind, nu * (1.0 - 1e-13), nu * (1.0 + 1e-13),
+                                x), (kind.value, n, x, nu)
+
+
+def test_the_leading_large_x_zeros_are_refined():
+    # L n = 1 at x = 10 lies 0.018 below its estimate, G n = 1 at x = 11
+    # 0.030 below its estimate 18.520.
+    assert round(refine_zero(asymptotic_zero("L", 1, 10.0)).nu_refined,
+                 6) == 15.694249
+    assert round(refine_zero(asymptotic_zero("G", 1, 11.0)).nu_refined,
+                 3) == 18.490
+
+
+@pytest.mark.parametrize("kind,x", [("L", 45.0), ("G", 35.0)])
 def test_an_estimate_outside_its_phase_window_raises_before_evaluating(
         kind, x, monkeypatch):
-    # L's estimate at x = 10 lies below its n = 1 window, G's at x = 11
-    # above it. Searching the window instead cost L 15 evaluations and gave
-    # G 15.934, not the zero at 18.490 next to its estimate 18.520.
+    # At n = 1 the estimate's half-width h, 1.38 for L at x = 45 and 1.20
+    # for G at x = 35, takes nu_hat -+ h out of the uniform phase window.
     calls = _count_detection_calls(monkeypatch)
     estimate = asymptotic_zero(kind, 1, x)
-    with pytest.raises(BracketingError, match="lies outside the phase window"):
+    with pytest.raises(BracketingError, match="leaves the phase window"):
         refine_zero(estimate)
     assert calls == []
 
@@ -529,11 +579,8 @@ def test_a_negative_lambda_raises_domain_error_before_evaluating(
 @pytest.mark.parametrize("n", [10 ** 16, 10 ** 17, 10 ** 18])
 def test_an_estimate_past_the_float_resolution_raises_before_evaluating(
         n, monkeypatch):
-    # nu_hat -+ h rounds onto nu_hat once the ulp of nu_hat passes 2 h. The
-    # phase window collapses onto the estimate too but is not to blame, and
-    # it is never solved.
+    # nu_hat -+ h rounds onto nu_hat once the ulp of nu_hat passes 2 h.
     calls = _count_detection_calls(monkeypatch)
-    monkeypatch.setattr(zerofinder, "_phase_window", None)
     estimate = asymptotic_zero("L", n, 1.0)
     with pytest.raises(DomainError, match="past the float resolution"):
         refine_zero(estimate)
