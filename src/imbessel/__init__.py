@@ -17,10 +17,9 @@ from .cgamma import STIRLING_COEFFICIENTS, log_gamma, recip_gamma_prefactor
 from .cli import main
 from .errors import (BracketingError, ConvergenceError, DomainError,
                      EnumerationError, UnreliableAsymptoticsError)
-from .lambertw import WResult, lambert_w0, w_asymptotic
+from .lambertw import WResult, lambert_w0
 from .zerofinder import (ZeroEstimate, ZeroRecord, asymptotic_zero,
-                         enumerate_zeros, leading_xi, leading_zero, phase,
-                         refine_zero)
+                         enumerate_zeros, leading_xi, phase, refine_zero)
 
 __version__ = "0.1.0"
 
@@ -50,13 +49,11 @@ __all__ = [
     "eval_function",
     "lambert_w0",
     "leading_xi",
-    "leading_zero",
     "log_gamma",
     "main",
     "phase",
     "recip_gamma_prefactor",
     "refine_zero",
     "series_sum",
-    "w_asymptotic",
     "__version__",
 ]

@@ -43,7 +43,8 @@ __all__ = ["FunctionKind", "ScaledReal", "series_sum", "eval_function",
 # all sit well above it.
 NU_MIN = 1e-3
 
-_DEFAULT_TOL = 1e-18
+_TOL = 1e-18
+_TOL2 = 2.0 * _TOL
 _MAX_TERMS = 500
 # k1 = k + 1 as a float, one for each term ratio the series may take.
 _K1 = tuple(float(k + 1) for k in range(_MAX_TERMS))
@@ -89,23 +90,20 @@ def _normalized(m: float, log_scale: float) -> ScaledReal:
     return tuple.__new__(ScaledReal, (m / math.exp(shift), log_scale + shift))
 
 
-def series_sum(nu: float, x: float, family: str,
-               tol: float = _DEFAULT_TOL) -> complex:
+def series_sum(nu: float, x: float, family: str) -> complex:
     """Sum the ascending series of I (modified) or J (ordinary) at order i*nu.
 
     Returns sum_{k>=0} (+-1)^k (x/2)^{2k} / (k! (1+i nu)_k), built by the
     ratio t_{k+1} / t_k = z / (k1 (k1 + i nu)), z = +-(x/2)^2, k1 = k + 1 a
-    float, and truncated when the current term's modulus falls to tol times
+    float, and truncated when the current term's modulus falls to 1e-18 times
     the partial sum's. Raises DomainError for non-finite nu or x, and
-    ConvergenceError past 500 terms, which cannot happen for x <= 50 at the
-    default tolerance, or when the sum overflows to a non-finite value.
+    ConvergenceError past 500 terms, which cannot happen for x <= 50, or
+    when the sum overflows to a non-finite value.
     """
     if not (0.0 < x < math.inf):
         raise DomainError(f"series_sum requires finite x > 0, got {x!r}")
     if not (-math.inf < nu < math.inf):
         raise DomainError(f"series_sum requires finite nu, got {nu!r}")
-    if not (0.0 < tol < math.inf):
-        raise DomainError(f"series_sum requires finite tol > 0, got {tol!r}")
     if family == "modified":
         z = (0.5 * x) ** 2
     elif family == "ordinary":
@@ -118,15 +116,14 @@ def series_sum(nu: float, x: float, family: str,
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     # |total| <= bound = 1 + sum |term|, so the stop test cannot pass while
-    # |term| exceeds 2 tol bound; the factor 2 absorbs rounding.
+    # |term| exceeds 2 _TOL bound; the factor 2 absorbs rounding.
     bound = 1.0
-    tol2 = 2.0 * tol
     for k1 in _K1:
         term *= z / (k1 * (k1 + inu))
         total += term
         a = abs(term)
         bound += a
-        if a <= tol2 * bound and a <= tol * abs(total):
+        if a <= _TOL2 * bound and a <= _TOL * abs(total):
             if not cmath.isfinite(total):
                 raise ConvergenceError(
                     f"series sum is not finite (nu={nu!r}, x={x!r})")

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["WResult", "lambert_w0", "w_asymptotic"]
+__all__ = ["WResult", "lambert_w0"]
 
 _EPS = math.ulp(1.0)
 _INV_E = 1.0 / math.e
@@ -96,22 +96,3 @@ def _log_space_newton(z: float, w: float) -> WResult:
             return WResult(w, z * abs(math.expm1(w + math.log(w) - log_z)))
     raise ConvergenceError(f"lambert_w0 did not converge for z = {z!r}")
 
-
-def w_asymptotic(z: float, terms: int) -> float:
-    """Two- or three-term large-z expansion of W(z).
-
-    W(z) ~ log z - log log z + log log z / log z for z > e; `terms` selects
-    the 2- or 3-term truncation. Raises DomainError for z <= e, where
-    log log z is not positive, and for z = inf, where it is not finite.
-    """
-    if terms not in (2, 3):
-        raise DomainError(f"w_asymptotic terms must be 2 or 3, got {terms!r}")
-    z = float(z)
-    if not (math.e < z < math.inf):
-        raise DomainError(f"w_asymptotic requires e < z < inf, got {z!r}")
-    log_z = math.log(z)
-    log_log_z = math.log(log_z)
-    value = log_z - log_log_z
-    if terms == 3:
-        value += log_log_z / log_z
-    return value

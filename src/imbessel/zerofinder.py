@@ -34,8 +34,7 @@ from .errors import (BracketingError, ConvergenceError, DomainError,
 from .lambertw import lambert_w0
 
 __all__ = ["ZeroEstimate", "ZeroRecord", "phase", "leading_xi",
-           "leading_zero", "asymptotic_zero", "refine_zero",
-           "enumerate_zeros"]
+           "asymptotic_zero", "refine_zero", "enumerate_zeros"]
 
 _DEFAULT_WIDTH = 1e-12
 
@@ -107,20 +106,6 @@ def leading_xi(m: float, lambda_: float) -> float:
     if not (lambda_ > 0.0):
         raise DomainError(f"leading_xi requires lambda > 0, got {lambda_!r}")
     return m / lambert_w0(lambda_ * m).w
-
-
-def leading_zero(kind: object, n: int, x: float) -> float:
-    """Leading-order zero m / log(lambda m); a crude documentation estimate."""
-    kind = FunctionKind.coerce(kind)
-    _positive_int("n", n)
-    if not (x > 0.0):
-        raise DomainError(f"leading_zero requires x > 0, got {x!r}")
-    m = kind.m_value(n)
-    lambda_ = 2.0 / (math.e * x)
-    if lambda_ * m <= 1.0:
-        raise DomainError(
-            f"leading_zero requires lambda*m > 1, got {lambda_ * m!r}")
-    return m / math.log(lambda_ * m)
 
 
 def asymptotic_zero(kind: object, n: int, x: float) -> ZeroEstimate:

@@ -1,4 +1,4 @@
-"""Tests for the principal-branch Lambert W solver and its asymptotics."""
+"""Tests for the principal-branch Lambert W solver."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from imbessel import DomainError, lambert_w0, w_asymptotic
+from imbessel import DomainError, lambert_w0
 
 from golden import fnum
 
@@ -75,37 +75,3 @@ def test_monotonicity_on_log_grid():
                  allow_infinity=False))
 def test_round_trip_residual_property(z):
     assert lambert_w0(z).residual <= 1e-14 * max(1.0, z)
-
-
-def test_asymptotic_two_terms_at_e_to_the_e():
-    # log z = e and log log z = 1, so the 2-term form is exactly e - 1.
-    assert abs(w_asymptotic(math.e ** math.e, 2) - (math.e - 1.0)) <= 1e-12
-
-
-def test_asymptotic_two_terms_within_3_percent_at_1e6():
-    exact = lambert_w0(1e6).w
-    assert abs(w_asymptotic(1e6, 2) / exact - 1.0) <= 0.03
-
-
-def test_asymptotic_third_term_improves_at_1e12():
-    exact = lambert_w0(1e12).w
-    assert abs(w_asymptotic(1e12, 3) - exact) < abs(w_asymptotic(1e12, 2)
-                                                    - exact)
-
-
-def test_asymptotic_ordering_from_100_up():
-    for z in _log_grid(100.0, 1e9, 100):
-        exact = lambert_w0(z).w
-        assert abs(w_asymptotic(z, 3) - exact) < abs(w_asymptotic(z, 2)
-                                                     - exact), f"z = {z}"
-
-
-@pytest.mark.parametrize("z", [math.e, 1.0, 0.5, math.inf])
-def test_asymptotic_rejects_small_argument(z):
-    with pytest.raises(DomainError):
-        w_asymptotic(z, 2)
-
-
-def test_asymptotic_rejects_bad_term_count():
-    with pytest.raises(DomainError):
-        w_asymptotic(100.0, 4)

@@ -18,13 +18,13 @@ from imbessel import (BracketingError, DomainError, EnumerationError,
                       asymptotic_zero, coefficient_set,
                       correction_coefficients, detection_value,
                       enumerate_zeros, eval_function, lambert_w0,
-                      leading_xi, leading_zero, phase, refine_zero)
+                      leading_xi, phase, refine_zero)
 
 import imbessel
 import imbessel.besseval as besseval
 import imbessel.zerofinder as zerofinder
 
-from golden import NS, TABLE_ASYMPTOTIC, TABLE_ZERO, dp6, fnum
+from golden import NS, TABLE_ASYMPTOTIC, dp6, fnum
 
 
 def test_kind_coercion():
@@ -85,46 +85,19 @@ def test_leading_xi_rejects_nonpositive_inputs(m, lambda_):
         leading_xi(m, lambda_)
 
 
-def test_leading_zero_halves_m_when_lambda_m_is_e_squared():
-    m = FunctionKind.K.m_value(1)
-    x = 2.0 * m / math.e ** 3
-    assert abs(leading_zero("K", 1, x) - 0.5 * m) <= 1e-12 * m
-
-
-def test_leading_zero_requires_lambda_m_above_one():
-    with pytest.raises(DomainError):
-        leading_zero("K", 1, 2.0)
-    with pytest.raises(DomainError):
-        leading_zero("K", 1, 0.0)
-
-
-@pytest.mark.parametrize("n", [True, 1.5, 0])
-def test_leading_zero_takes_only_a_positive_integer_n(n):
-    with pytest.raises(DomainError, match="n must be a positive integer"):
-        leading_zero("K", n, 1.0)
-
-
-def test_leading_zero_orders_l_above_k():
-    assert leading_zero("L", 2, 1.0) > leading_zero("K", 2, 1.0)
-
-
-def test_leading_zero_accuracy_for_k_n10():
+def test_m_over_log_lambda_m_deviates_less_than_its_first_dropped_term():
     # m / log(lambda m) drops the log log(lambda m) / log(lambda m) term of
     # W's expansion, so that term bounds its relative deviation from the
-    # true zero.
-    value = leading_zero("K", 10, 1.0)
-    # Pins the quarter offset and lambda exactly: (n + 1/4) pi for K would
-    # still land inside the deviation bound below.
-    m = 9.75 * math.pi
-    assert value == pytest.approx(m / math.log(2.0 * m / math.e), rel=1e-12)
-    target = TABLE_ZERO["K"][NS.index(10)]
-    log_lm = math.log(2.0 / math.e * FunctionKind.K.m_value(10))
-    bound = math.log(log_lm) / log_lm
-    deviation = abs(value - target) / target
-    assert deviation <= bound, (
-        f"m / log(lambda m) = {value:.6f} deviates from the reference zero "
-        f"{target} by {deviation:.3%}, above the first neglected term of "
-        f"W's expansion, {bound:.3%}")
+    # refined zero; at n = 500 the deviation is 0.238 against 0.277.
+    lambda_ = 2.0 / math.e
+    for kind in FunctionKind:
+        records = enumerate_zeros(kind, 1.0, 500)
+        for n in (2, 10, 50, 500):
+            nu, m = records[n - 1].nu_refined, kind.m_value(n)
+            log_lm = math.log(lambda_ * m)
+            deviation = abs(nu - m / log_lm) / nu
+            bound = math.log(log_lm) / log_lm
+            assert deviation <= bound, (kind.value, n, deviation, bound)
 
 
 def test_estimate_partial_sums_are_cumulative(estimates_x1):
@@ -425,15 +398,26 @@ def test_sign_above_alternates_from_the_kind_sign(kind):
         assert zerofinder._sign_above(kind, n) == -kind.sign * (-1) ** n, n
 
 
-def _inside_through_phase(lo, hi, estimate):
-    # The phase window test written with the checked public phase.
-    lambda_, m = estimate.lambda_, estimate.m
-    return (lambda_ * lo > 1.0 / math.e
-            and phase(lo, lambda_) > m - math.pi / 4.0
-            and phase(hi, lambda_) < m + 0.75 * math.pi)
+def _mp_uniform_phase(kind, nu, x):
+    # The uniform phase less pi/4 at 40 digits, for nu > x with L and K.
+    with mp.workdps(40):
+        nu, x = mp.mpf(nu), mp.mpf(x)
+        if kind.family == "modified":
+            return nu * mp.acosh(nu / x) - mp.sqrt(nu ** 2 - x ** 2)
+        return nu * mp.asinh(nu / x) - mp.sqrt(nu ** 2 + x ** 2)
 
 
-def test_the_phase_window_test_agrees_with_phase_on_the_swept_brackets(
+def _inside_through_mp_uniform_phase(lo, hi, estimate):
+    # The phase window test with the uniform phase at 40 digits; L and K at
+    # or below the turning point are outside every window.
+    kind, x, m = estimate.kind, estimate.x, estimate.m
+    if kind.family == "modified" and lo <= x:
+        return False
+    return (_mp_uniform_phase(kind, lo, x) > m - math.pi / 2.0
+            and _mp_uniform_phase(kind, hi, x) < m + math.pi / 2.0)
+
+
+def test_the_phase_window_test_agrees_with_mpmath_on_the_swept_brackets(
         monkeypatch):
     # Every bracket refine_zero checks for the 8,000 zeros at x <= 4. All
     # lie inside their windows; the edge test below covers the other side.
@@ -450,17 +434,9 @@ def test_the_phase_window_test_agrees_with_phase_on_the_swept_brackets(
             enumerate_zeros(kind, x, 500)
     assert len(brackets) == 8000
     verdicts = [inside(*args) for args in brackets]
-    assert verdicts == [_inside_through_phase(*args) for args in brackets]
+    assert verdicts == [_inside_through_mp_uniform_phase(*args)
+                        for args in brackets]
     assert all(verdicts)
-
-
-def _mp_uniform_phase(kind, nu, x):
-    # The uniform phase less pi/4 at 40 digits, for nu > x with L and K.
-    with mp.workdps(40):
-        nu, x = mp.mpf(nu), mp.mpf(x)
-        if kind.family == "modified":
-            return nu * mp.acosh(nu / x) - mp.sqrt(nu ** 2 - x ** 2)
-        return nu * mp.asinh(nu / x) - mp.sqrt(nu ** 2 + x ** 2)
 
 
 def _flip(inside, outside, verdict):
@@ -511,6 +487,23 @@ def test_the_phase_window_edge_is_where_the_uniform_phase_is_m_pm_half_pi(
                 for hi in (x, middle):
                     assert zerofinder._inside_phase_window(
                         lo, hi, estimate) is False
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 4.0, 8.0, 10.0, 15.0, 20.0,
+                               30.0])
+@pytest.mark.parametrize("kind", list(FunctionKind))
+def test_the_uniform_phase_labels_every_record(kind, x):
+    # Each refined zero sits within pi/16 of its m in the uniform phase, at
+    # worst 0.0145 pi (K, x = 0.5, n = 1), and both bracket ends inside the
+    # pi/2 window the guard checks, at worst 0.317 pi (G, x = 30, n = 1).
+    # The windows of adjacent n are disjoint, so the guard is the label.
+    for record in enumerate_zeros(kind, x, 500):
+        m = kind.m_value(record.n)
+        offset = abs(kind.uniform_phase(record.nu_refined, x) - m)
+        assert offset < math.pi / 16.0, (record.n, offset)
+        for nu in record.bracket:
+            offset = abs(kind.uniform_phase(nu, x) - m)
+            assert offset < math.pi / 2.0, (record.n, nu, offset)
 
 
 def _mp_changes_sign(kind, lo, hi, x):
@@ -875,6 +868,26 @@ def test_every_record_type_the_readme_names_imports_from_the_package():
     for name in names:
         assert name in imbessel.__all__
         assert isinstance(records[name], getattr(imbessel, name))
+
+
+def test_every_exported_name_resolves_and_the_package_exports_all():
+    # The package exports the union of its modules' __all__ lists, less
+    # the CLI's parser, plus the error classes and the version.
+    exported = set()
+    for name in ("asymcoeff", "besseval", "cgamma", "cli", "lambertw",
+                 "zerofinder"):
+        module = importlib.import_module(f"imbessel.{name}")
+        for attr in module.__all__:
+            assert hasattr(module, attr), f"{name}.{attr}"
+            if attr != "build_parser":
+                assert getattr(imbessel, attr) is getattr(module, attr), attr
+        exported.update(module.__all__)
+    errors = {name for name, value in vars(imbessel.errors).items()
+              if isinstance(value, type) and issubclass(value, Exception)}
+    assert len(errors) == 5
+    assert len(imbessel.__all__) == len(set(imbessel.__all__))
+    assert set(imbessel.__all__) == ((exported - {"build_parser"}) | errors
+                                     | {"__version__"})
 
 
 def test_zero_record_fields_are_the_documented_ones_in_order():
