@@ -7,6 +7,12 @@ correction coefficients b_k (xi-normalized) and B_k (m-normalized) solve the
 order-by-order balance of nu * log(lambda * nu) = m - A0/nu - A1/nu^3 -
 A2/nu^5 around the leading solution xi.
 
+The paper stops at A2 and B2. The zero finder starts its refinement from
+the same expansion carried one order further: _next_phase_coefficient
+gives A3 from C6, C7 and the Stirling coefficients gamma_6, gamma_7 (DLMF
+5.11), and _fourth_correction the B3 of the balance with - A3/nu^7 added.
+The published coefficients and the records that hold them do not change.
+
 The ordinary family (J-based functions F, G) uses the same machinery with the
 C_k evaluated at -chi. All coefficients are n-independent, so a CoefficientSet
 is built once per (x, family) and reused for every zero index. Both records
@@ -29,6 +35,9 @@ _FAMILIES = ("modified", "ordinary")
 
 # The Stirling coefficients gamma_k as floats, converted once.
 _GAMMA = tuple(float(g) for g in STIRLING_COEFFICIENTS)
+# gamma_0..gamma_7, each (-1)^k g_k with g_k the Stirling coefficients of
+# Gamma in DLMF 5.11; gamma_6 and gamma_7 serve only _next_phase_coefficient.
+_GAMMA8 = _GAMMA + (5246819 / 75246796800, 534703531 / 902961561600)
 
 
 class CoefficientSet(NamedTuple):
@@ -141,6 +150,46 @@ def correction_coefficients(A: list[float], xi: float,
     B1 = b1_numer / (chi_ratio ** 2 * one_plus)
     B2 = b2_numer / (chi_ratio ** 4 * one_plus)
     return CorrectionCoefficients(xi, chi_ratio, (b0, b1, b2), (B0, B1, B2))
+
+
+def _next_phase_coefficient(coeffs: CoefficientSet) -> float:
+    # A3, the phase coefficient after A2. A0..A3 are the t, -t^3, t^5 and
+    # -t^7 coefficients g_k of log(sum_k a_k t^k), which the recurrence
+    # k g_k = k a_k - sum_{j<k} j g_j a_{k-j} gives with less cancellation
+    # than their expanded polynomials. a6 and a7 need C6 and C7 of the
+    # family's argument c, where C_n(c) = sum_k (-1)^(n-k) S(n, k) c^k / k!
+    # (S: Stirling numbers of the second kind), as for C0..C5.
+    c = coeffs.chi if coeffs.family == "modified" else -coeffs.chi
+    C = (*coeffs.C,
+         c * (-720.0 + c * (11160.0 + c * (-10800.0 + c * (1950.0 + c * (
+             -90.0 + c))))) / 720.0,
+         c * (5040.0 + c * (-158760.0 + c * (252840.0 + c * (-73500.0 + c * (
+             5880.0 + c * (-147.0 + c)))))) / 5040.0)
+    a = (*coeffs.a, *(sum(_GAMMA8[r] * C[k - r] for r in range(k + 1))
+                      for k in (6, 7)))
+    g = [0.0] * 8
+    for k in range(1, 8):
+        g[k] = a[k] - sum(j * g[j] * a[k - j] for j in range(1, k)) / k
+    if not math.isfinite(g[7]):
+        raise DomainError(
+            f"the phase coefficient A3 is not finite at x = {coeffs.x!r}")
+    return -g[7]
+
+
+def _fourth_correction(A: list[float],
+                       correction: CorrectionCoefficients) -> float:
+    # B3, the term B3/m^7 after B2/m^5 once - A3/nu^7 joins the balance,
+    # from A0..A3 and the b0..b2 that correction_coefficients solved:
+    # b3 = N3 / (1 + log(lambda xi)) and B3 = b3 / chi_ratio^7.
+    A0, A1, A2, A3 = A
+    b0, b1, b2 = correction.b
+    r = correction.chi_ratio
+    b00 = b0 * b0
+    n3 = (A0 * (b00 * b0 - 2.0 * b0 * b1 + b2) + A1 * (3.0 * b1 - 6.0 * b00)
+          + 5.0 * A2 * b0 - A3 - b00 * b00 / 12.0 + 0.5 * b00 * b1
+          - b0 * b2 - 0.5 * b1 * b1)
+    r3 = r * r * r
+    return n3 / (r3 * r3 * (1.0 + r))
 
 
 def coefficient_set(x: float, family: str) -> CoefficientSet:

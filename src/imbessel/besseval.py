@@ -132,24 +132,29 @@ def series_sum(nu: float, x: float, family: str) -> complex:
         f"series did not converge in {_MAX_TERMS} terms (nu={nu!r}, x={x!r})")
 
 
+# From this argument on, -expm1(-2 v) and tanh(u) round to exactly 1.0, so
+# the log scales skip them and give the same bits.
+_SATURATED = 20.0
+
+
 def _log_scale_lk(nu: float) -> float:
     # log sqrt(pi / (nu sinh(pi nu))), with log sinh v taken as
     # v - log 2 + log(-expm1(-2 v)), which cannot overflow.
     v = math.pi * nu
-    return 0.5 * (math.log(2.0 * math.pi / nu) - v
-                  - math.log(-math.expm1(-2.0 * v)))
+    tail = 0.0 if v >= _SATURATED else math.log(-math.expm1(-2.0 * v))
+    return 0.5 * (math.log(2.0 * math.pi / nu) - v - tail)
 
 
 def _log_scale_f(nu: float) -> float:
     # log sqrt(2 tanh(pi nu / 2) / (pi nu)) = log sqrt(tanh(u) / u).
     u = 0.5 * math.pi * nu
-    return 0.5 * math.log(math.tanh(u) / u)
+    return 0.5 * math.log((1.0 if u >= _SATURATED else math.tanh(u)) / u)
 
 
 def _log_scale_g(nu: float) -> float:
     # log sqrt(2 coth(pi nu / 2) / (pi nu)) = -log sqrt(u tanh(u)).
     u = 0.5 * math.pi * nu
-    return -0.5 * math.log(u * math.tanh(u))
+    return -0.5 * math.log(u if u >= _SATURATED else u * math.tanh(u))
 
 
 def _uniform_phase_lk(nu: float, x: float) -> float:

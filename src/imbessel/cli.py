@@ -117,7 +117,7 @@ def cmd_zeros(args: argparse.Namespace, out) -> int:
                                args.tol)]
     else:
         records = enumerate_zeros(kind, args.x, args.n_max, args.tol)
-    # Report the partial sum --order selects; the records carry partial[3].
+    # Report the partial sum --order selects; records report partial[3].
     order = args.order
     if order != 3:
         records = [r._replace(nu_asymptotic=r.partial[order],

@@ -207,6 +207,89 @@ def test_three_term_sum_matches_tabulated_estimate_for_k_n10(reference):
         f"{want}")
 
 
+# gamma_6 and gamma_7 of the reciprocal-Gamma series, exact.
+_GAMMA_67 = (Fraction(5246819, 75246796800), Fraction(534703531, 902961561600))
+
+
+def _stirling2(n: int, k: int) -> int:
+    # Stirling numbers of the second kind, S(n, k).
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def _c_from_stirling(n: int, chi: Fraction) -> Fraction:
+    # C_n(chi) = sum_k (-1)^(n-k) S(n, k) chi^k / k!.
+    if n == 0:
+        return Fraction(1)
+    return sum((-1) ** (n - k) * _stirling2(n, k) * chi ** k
+               / math.factorial(k) for k in range(1, n + 1))
+
+
+def _exact_phase_coefficients(chi: Fraction) -> list[Fraction]:
+    # A0..A3 = t, -t^3, t^5, -t^7 coefficients of log(sum_k a_k t^k), from
+    # k g_k = k a_k - sum_{j<k} j g_j a_{k-j}, in exact arithmetic.
+    C = [_c_from_stirling(n, chi) for n in range(8)]
+    gamma = list(STIRLING_COEFFICIENTS) + list(_GAMMA_67)
+    a = [sum(gamma[r] * C[k - r] for r in range(k + 1)) for k in range(8)]
+    g = [Fraction(0)] * 8
+    for k in range(1, 8):
+        g[k] = a[k] - sum(j * g[j] * a[k - j] for j in range(1, k)) / k
+    return [g[1], -g[3], g[5], -g[7]]
+
+
+def test_gamma_6_and_7_continue_the_reciprocal_gamma_series():
+    # 1/Gamma's Stirling factor is exp(-sum_j B_2j t^(2j-1) / (2j (2j-1)));
+    # its t^k coefficients, from k h_k = sum_j j f_j h_(k-j), are the
+    # gamma_k, and the zero finder's floats hold gamma_0..gamma_7.
+    bernoulli = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
+                 Fraction(-1, 30))
+    f = [Fraction(0)] * 8
+    for j, b2j in enumerate(bernoulli, start=1):
+        f[2 * j - 1] = -b2j / (2 * j * (2 * j - 1))
+    h = [Fraction(1)] + [Fraction(0)] * 7
+    for k in range(1, 8):
+        h[k] = sum(j * f[j] * h[k - j] for j in range(1, k + 1)) / k
+    assert h[:6] == list(STIRLING_COEFFICIENTS)
+    assert h[6:] == list(_GAMMA_67)
+    assert asymcoeff._GAMMA8 == tuple(float(g) for g in h)
+
+
+def test_the_stirling_number_form_gives_the_c_polynomials():
+    # The form that defines C6 and C7 reproduces the closed C0..C5.
+    for chi in (Fraction(1, 4), Fraction(-3, 7), Fraction(5)):
+        assert [_c_from_stirling(n, chi) for n in range(6)] == _exact_c(chi)
+
+
+@pytest.mark.parametrize("family", ["modified", "ordinary"])
+@pytest.mark.parametrize("x,digits", [(0.5, 14), (1.0, 14), (2.0, 14),
+                                      (4.0, 14), (10.0, 12), (30.0, 10)])
+def test_next_phase_coefficient_matches_exact_arithmetic(x, family, digits):
+    # The exact log-series coefficients reproduce the published A0..A2
+    # and give the A3 the zero finder's fourth correction uses. Its terms
+    # cancel more as x grows: at worst 1.1e-15 relative for x <= 4,
+    # 3.6e-14 at x = 10 and 9.4e-12 at x = 30.
+    coeffs = coefficient_set(x, family)
+    chi = Fraction(coeffs.chi) * (1 if family == "modified" else -1)
+    exact = _exact_phase_coefficients(chi)
+    got = [*coeffs.A, asymcoeff._next_phase_coefficient(coeffs)]
+    for k, (value, want) in enumerate(zip(got, exact)):
+        assert abs(Fraction(value) - want) <= Fraction(1, 10 ** digits) * \
+            abs(want), f"A{k}"
+
+
+def test_next_phase_coefficient_raises_where_it_overflows():
+    # A3 grows like chi^7 and leaves the floats from x ~ 2e22 on, long
+    # before coefficient_set's own limit near x = 1.4e31.
+    coeffs = coefficient_set(1e25, "modified")
+    with pytest.raises(DomainError, match="A3 is not finite"):
+        asymcoeff._next_phase_coefficient(coeffs)
+    with pytest.raises(DomainError, match="A3 is not finite"):
+        asymptotic_zero("L", 1, 1e25)
+
+
 def test_coefficient_set_invariants():
     for x, family in itertools.product(GRID_X, ("modified", "ordinary")):
         coeffs = coefficient_set(x, family)

@@ -259,6 +259,38 @@ def test_closed_form_log_scale_matches_mpmath(kind):
                                 abs_tol=1e-12), nu
 
 
+def _full_log_scale(kind, nu):
+    # The closed forms with every term evaluated, at any nu.
+    if kind.family == "modified":
+        v = math.pi * nu
+        return 0.5 * (math.log(2.0 * math.pi / nu) - v
+                      - math.log(-math.expm1(-2.0 * v)))
+    u = 0.5 * math.pi * nu
+    if kind is FunctionKind.F:
+        return 0.5 * math.log(math.tanh(u) / u)
+    return -0.5 * math.log(u * math.tanh(u))
+
+
+@pytest.mark.parametrize("kind", list(FunctionKind))
+def test_log_scale_is_bit_identical_to_the_full_closed_form(kind):
+    # The log scales skip -expm1(-2 v) from v = pi nu = 20 on and tanh(u)
+    # from u = pi nu / 2 = 20 on, where each rounds to exactly 1.0: the
+    # floats on both sides of each cut, and orders far from it.
+    nus = [10.0 ** (k / 8) for k in range(-24, 49)]
+    for factor in (math.pi, 0.5 * math.pi):
+        near = [besseval._SATURATED / factor]
+        for direction in (0.0, math.inf):
+            for _ in range(3):
+                near.append(math.nextafter(near[-1], direction))
+            near.append(near[0])
+        # Each cut has floats on both of its sides.
+        arguments = [factor * nu for nu in near]
+        assert min(arguments) < besseval._SATURATED <= max(arguments)
+        nus += near
+    for nu in nus:
+        assert kind.log_scale(nu) == _full_log_scale(kind, nu), nu
+
+
 def test_detection_value_crosses_zero_with_k():
     assert detection_value("K", 2.9620, 1.0) > 0.0
     assert detection_value("K", 2.9630, 1.0) < 0.0
