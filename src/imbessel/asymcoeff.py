@@ -1,27 +1,25 @@
 """Coefficient pipeline for the large-nu zero expansions.
 
 For fixed argument x the chain is chi = x^2/4 -> C_k -> a_k -> A_k -> (b_k,
-B_k). The C_k are fixed polynomials in chi; the a_k fold in the Stirling
-coefficients; the A_k invert the tangent of the phase correction; and the
-correction coefficients b_k (xi-normalized) and B_k (m-normalized) solve the
-order-by-order balance of nu * log(lambda * nu) = m - A0/nu - A1/nu^3 -
-A2/nu^5 around the leading solution xi.
+B_k). One pass per (x, family) builds it to order 8 by one route: C_0..C_7
+from the Stirling numbers of the second kind, a_0..a_7 by one Cauchy product
+with the Stirling coefficients of 1/Gamma (DLMF 5.11), and A_0..A_3 by one
+log-series recurrence. The public functions and records keep the paper's
+C0..C5, a0..a5 and A0..A2; the zero finder also takes A3, for the B3 of
+_fourth_correction. The correction coefficients b_k (xi-normalized) and B_k
+(m-normalized) solve the order-by-order balance of nu log(lambda nu) =
+m - A0/nu - A1/nu^3 - A2/nu^5 around the leading solution xi.
 
-The paper stops at A2 and B2. The zero finder starts its refinement from
-the same expansion carried one order further: _next_phase_coefficient
-gives A3 from C6, C7 and the Stirling coefficients gamma_6, gamma_7 (DLMF
-5.11), and _fourth_correction the B3 of the balance with - A3/nu^7 added.
-The published coefficients and the records that hold them do not change.
-
-The ordinary family (J-based functions F, G) uses the same machinery with the
-C_k evaluated at -chi. All coefficients are n-independent, so a CoefficientSet
-is built once per (x, family) and reused for every zero index. Both records
-are immutable NamedTuples, equal to plain tuples of their values.
+The ordinary family (F, G) evaluates the C_k at -chi. All coefficients are
+n-independent, so a CoefficientSet is built once per (x, family) and reused
+for every zero index. Both records are immutable NamedTuples.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import mul
 from typing import NamedTuple
 
 from .cgamma import STIRLING_COEFFICIENTS
@@ -33,11 +31,26 @@ __all__ = ["CoefficientSet", "CorrectionCoefficients", "c_polynomials",
 
 _FAMILIES = ("modified", "ordinary")
 
-# The Stirling coefficients gamma_k as floats, converted once.
-_GAMMA = tuple(float(g) for g in STIRLING_COEFFICIENTS)
 # gamma_0..gamma_7, each (-1)^k g_k with g_k the Stirling coefficients of
-# Gamma in DLMF 5.11; gamma_6 and gamma_7 serve only _next_phase_coefficient.
-_GAMMA8 = _GAMMA + (5246819 / 75246796800, 534703531 / 902961561600)
+# Gamma in DLMF 5.11; the pass builds C_0..C_7 and a_0..a_7 to match.
+_GAMMA8 = (*(float(g) for g in STIRLING_COEFFICIENTS),
+           5246819 / 75246796800, 534703531 / 902961561600)
+_ORDER = len(_GAMMA8)
+
+
+def _c_rows() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    # (n!, row) for n = 1..7: the integers (-1)^(n-k) S(n, k) n!/k! for k = n
+    # down to 1, S(n, k) = k S(n-1, k) + S(n-1, k-1) from their triangle.
+    rows, s = [], [1]
+    for n in range(1, _ORDER):
+        s = [0, *(k * s[k] + s[k - 1] for k in range(1, n)), 1]
+        f = math.factorial(n)
+        rows.append((f, tuple((-1) ** (n - k) * s[k] * f // math.factorial(k)
+                              for k in range(n, 0, -1))))
+    return tuple(rows)
+
+
+_C_ROWS = _c_rows()
 
 
 class CoefficientSet(NamedTuple):
@@ -71,16 +84,7 @@ class CorrectionCoefficients(NamedTuple):
 
 def c_polynomials(chi: float) -> list[float]:
     """Evaluate the six polynomials C_0..C_5 at chi."""
-    chi = float(chi)
-    return [
-        1.0,
-        chi,
-        (chi / 2.0) * (-2.0 + chi),
-        (chi / 6.0) * (6.0 - 9.0 * chi + chi * chi),
-        (chi / 24.0) * (-24.0 + 84.0 * chi - 24.0 * chi ** 2 + chi ** 3),
-        (chi / 120.0) * (120.0 - 900.0 * chi + 500.0 * chi ** 2
-                         - 50.0 * chi ** 3 + chi ** 4),
-    ]
+    return _c_and_a(chi, "modified")[0][:6]
 
 
 def a_coefficients(chi: float, family: str) -> list[float]:
@@ -90,28 +94,33 @@ def a_coefficients(chi: float, family: str) -> list[float]:
     C-series: a_k = sum_{r=0..k} gamma_r * C_{k-r}, with the C_k evaluated
     at chi for the modified family and at -chi for the ordinary one.
     """
-    return _c_and_a(chi, family)[1]
+    return _c_and_a(chi, family)[1][:6]
 
 
 def _c_and_a(chi: float, family: str) -> tuple[list[float], list[float]]:
-    # The C_k of the family's argument and the a_k built from them.
+    # C_0..C_7 at the family's argument c, with C_n(c) = sum_k (-1)^(n-k)
+    # S(n, k) c^k / k! = c (r_1 + c (r_2 + ... + c r_n)) / n! by Horner's
+    # rule over the row of integers r_k, and a_k = sum_r gamma_r C_{k-r}.
     if family not in _FAMILIES:
         raise DomainError(f"family must be one of {_FAMILIES}, got {family!r}")
-    C = c_polynomials(float(chi) if family == "modified" else -float(chi))
-    return C, [sum(_GAMMA[r] * C[k - r] for r in range(k + 1))
-               for k in range(6)]
+    c = float(chi) if family == "modified" else -float(chi)
+    C = [1.0, *(c * reduce(lambda acc, r: r + c * acc, row[1:], row[0]) / f
+                for f, row in _C_ROWS)]
+    return C, [sum(map(mul, _GAMMA8, C[k::-1])) for k in range(_ORDER)]
 
 
 def A_coefficients(a: list[float]) -> list[float]:
-    """Invert the tangent series of the phase correction to A0..A2."""
+    """The phase coefficients A_k = (-1)^k g_{2k+1}: A0..A2 from a0..a5.
+
+    g_k, the coefficients of log(sum_k a_k t^k), obey k g_k = k a_k -
+    sum_{j<k} j g_j a_{k-j}; each odd 2k + 1 < len(a) gives an A_k.
+    """
     if a[0] != 1.0:
         raise DomainError(f"A_coefficients requires a[0] = 1, got {a[0]!r}")
-    a1, a2, a3, a4, a5 = a[1], a[2], a[3], a[4], a[5]
-    A0 = a1
-    A1 = a1 * a2 - a3 - a1 ** 3 / 3.0
-    A2 = (a1 * a2 ** 2 + a1 ** 2 * a3 - a1 ** 3 * a2 - a2 * a3 - a1 * a4
-          + a5 + a1 ** 5 / 5.0)
-    return [A0, A1, A2]
+    g = [0.0] * len(a)
+    for k in range(1, len(a)):
+        g[k] = a[k] - sum(j * g[j] * a[k - j] for j in range(1, k)) / k
+    return [g[k] if k % 4 == 1 else -g[k] for k in range(1, len(a), 2)]
 
 
 def correction_coefficients(A: list[float], xi: float,
@@ -152,30 +161,6 @@ def correction_coefficients(A: list[float], xi: float,
     return CorrectionCoefficients(xi, chi_ratio, (b0, b1, b2), (B0, B1, B2))
 
 
-def _next_phase_coefficient(coeffs: CoefficientSet) -> float:
-    # A3, the phase coefficient after A2. A0..A3 are the t, -t^3, t^5 and
-    # -t^7 coefficients g_k of log(sum_k a_k t^k), which the recurrence
-    # k g_k = k a_k - sum_{j<k} j g_j a_{k-j} gives with less cancellation
-    # than their expanded polynomials. a6 and a7 need C6 and C7 of the
-    # family's argument c, where C_n(c) = sum_k (-1)^(n-k) S(n, k) c^k / k!
-    # (S: Stirling numbers of the second kind), as for C0..C5.
-    c = coeffs.chi if coeffs.family == "modified" else -coeffs.chi
-    C = (*coeffs.C,
-         c * (-720.0 + c * (11160.0 + c * (-10800.0 + c * (1950.0 + c * (
-             -90.0 + c))))) / 720.0,
-         c * (5040.0 + c * (-158760.0 + c * (252840.0 + c * (-73500.0 + c * (
-             5880.0 + c * (-147.0 + c)))))) / 5040.0)
-    a = (*coeffs.a, *(sum(_GAMMA8[r] * C[k - r] for r in range(k + 1))
-                      for k in (6, 7)))
-    g = [0.0] * 8
-    for k in range(1, 8):
-        g[k] = a[k] - sum(j * g[j] * a[k - j] for j in range(1, k)) / k
-    if not math.isfinite(g[7]):
-        raise DomainError(
-            f"the phase coefficient A3 is not finite at x = {coeffs.x!r}")
-    return -g[7]
-
-
 def _fourth_correction(A: list[float],
                        correction: CorrectionCoefficients) -> float:
     # B3, the term B3/m^7 after B2/m^5 once - A3/nu^7 joins the balance,
@@ -192,23 +177,37 @@ def _fourth_correction(A: list[float],
     return n3 / (r3 * r3 * (1.0 + r))
 
 
+def _expansion(x: float, family: str) -> tuple:
+    # The one pass for (x, family): x, chi, C_0..C_7, a_0..a_7 and A_0..A_3.
+    # Only the published C_0..C_5, a_0..a_5 and A_0..A_2 must be finite.
+    x = float(x)
+    if not (x > 0.0):
+        raise DomainError(f"coefficient_set requires x > 0, got {x!r}")
+    chi = x * x / 4.0
+    C, a = _c_and_a(chi, family)
+    A = A_coefficients(a)
+    if not all(map(math.isfinite, C[:6] + a[:6] + A[:3])):
+        raise DomainError(
+            f"coefficient_set cannot form finite coefficients at x = {x!r}")
+    return x, chi, C, a, A
+
+
+def _phase_coefficients(x: float, family: str) -> list[float]:
+    # A0..A3 of the pass, for the zero finder. A3 grows like chi^7 and leaves
+    # the floats from x ~ 2e22 on, before coefficient_set's limit of 1.4e31.
+    x, _, _, _, A = _expansion(x, family)
+    if not math.isfinite(A[3]):
+        raise DomainError(
+            f"the phase coefficient A3 is not finite at x = {x!r}")
+    return A
+
+
 def coefficient_set(x: float, family: str) -> CoefficientSet:
     """Build the full n-independent coefficient set for (x, family).
 
     Raises DomainError for x <= 0 and for an x so large that a coefficient
     overflows a float.
     """
-    x = float(x)
-    if not (x > 0.0):
-        raise DomainError(f"coefficient_set requires x > 0, got {x!r}")
-    chi = x * x / 4.0
-    try:
-        C, a = _c_and_a(chi, family)
-        A = A_coefficients(a)
-        finite = all(map(math.isfinite, C + a + A))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise DomainError(
-            f"coefficient_set cannot form finite coefficients at x = {x!r}")
-    return CoefficientSet(x, chi, family, tuple(C), tuple(a), tuple(A))
+    x, chi, C, a, A = _expansion(x, family)
+    return CoefficientSet(x, chi, family, tuple(C[:6]), tuple(a[:6]),
+                          tuple(A[:3]))

@@ -216,10 +216,6 @@ class FunctionKind(enum.Enum):
             raise DomainError(f"the phase target m of {self.value} n={n} "
                               f"overflows a float") from exc
 
-    def phase_target(self, n: int) -> float:
-        """Where Phi sits at the nth zero: (n + 1/2) pi for L, F; n pi else."""
-        return self.m_value(n) + math.pi / 4.0
-
 
 _KINDS = {kind.value: kind for kind in FunctionKind}
 

@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .asymcoeff import (_fourth_correction, _next_phase_coefficient,
-                        coefficient_set, correction_coefficients)
+from .asymcoeff import (_fourth_correction, _phase_coefficients,
+                        correction_coefficients)
 from .besseval import FunctionKind, ScaledReal, _normalized, detection_value
 from .errors import (BracketingError, ConvergenceError, DomainError,
                      EnumerationError, UnreliableAsymptoticsError)
@@ -136,19 +136,18 @@ def _positive_int(name: str, value: object) -> int:
 
 def _estimator(kind: FunctionKind,
                x: float) -> Callable[[int], ZeroEstimate]:
-    # Validate x and build the coefficient set once; the returned function
-    # gives the estimate of the nth zero from it.
+    # Validate x and build the phase coefficients A0..A3 in one pass; the
+    # returned function gives the estimate of the nth zero from them.
     if not (x > 0.0):
         raise DomainError(f"asymptotic_zero requires x > 0, got {x!r}")
-    coeffs = coefficient_set(x, kind.family)
-    A = [*coeffs.A, _next_phase_coefficient(coeffs)]
+    A = _phase_coefficients(x, kind.family)
     return lambda n: _estimate(kind, n, x, A)
 
 
 def _estimate(kind: FunctionKind, n: int, x: float,
               A: list[float]) -> ZeroEstimate:
-    # The estimate for validated arguments, from A0..A2 of
-    # coefficient_set(x, kind.family) and the A3 after them.
+    # The estimate for validated arguments, from the phase coefficients
+    # A0..A3 of (x, kind.family).
     try:
         m = kind.m_value(n)
         m3, m5 = m ** 3, m ** 5
@@ -156,7 +155,8 @@ def _estimate(kind: FunctionKind, n: int, x: float,
         raise DomainError(f"the estimate of {kind.value} n={n} x={x!r} "
                           f"overflows a float") from exc
     lambda_ = 2.0 / (math.e * x)
-    # leading_xi's checks hold: m > 0, and coefficient_set took x < 1.4e31.
+    # leading_xi's checks hold: m > 0, and lambda > 0 since A3 is finite
+    # only for x below about 2.5e22.
     xi = m / lambert_w0(lambda_ * m).w
     threshold = max(2.0, x)
     if not (xi > threshold):

@@ -23,13 +23,19 @@ GRID_N = (5, 10, 20, 50)
 
 
 def _exact_c(chi: Fraction) -> list[Fraction]:
+    # The closed C0..C5 of the paper, and C6 and C7 in the same form.
     return [Fraction(1),
             chi,
             chi * (-2 + chi) / 2,
             chi * (6 - 9 * chi + chi ** 2) / 6,
             chi * (-24 + 84 * chi - 24 * chi ** 2 + chi ** 3) / 24,
             chi * (120 - 900 * chi + 500 * chi ** 2 - 50 * chi ** 3
-                   + chi ** 4) / 120]
+                   + chi ** 4) / 120,
+            chi * (-720 + 11160 * chi - 10800 * chi ** 2 + 1950 * chi ** 3
+                   - 90 * chi ** 4 + chi ** 5) / 720,
+            chi * (5040 - 158760 * chi + 252840 * chi ** 2
+                   - 73500 * chi ** 3 + 5880 * chi ** 4 - 147 * chi ** 5
+                   + chi ** 6) / 5040]
 
 
 def test_c_polynomials_at_zero():
@@ -37,10 +43,13 @@ def test_c_polynomials_at_zero():
 
 
 def test_c_polynomials_at_one_quarter():
+    # Every C_k at chi = 1/4 is the correctly rounded float of its exact
+    # value: c_polynomials' C0..C5 and the pass's C0..C7 alike.
     C = c_polynomials(0.25)
     assert C[2] == -7.0 / 32.0
-    for k, exact in enumerate(_exact_c(Fraction(1, 4))):
-        assert abs(C[k] - float(exact)) <= 1e-16, f"k = {k}"
+    exact = [float(c) for c in _exact_c(Fraction(1, 4))]
+    assert C == exact[:6]
+    assert asymcoeff._expansion(1.0, "modified")[2] == exact
 
 
 def test_c_polynomials_are_the_series_expansion_coefficients():
@@ -92,7 +101,7 @@ def test_a_coefficients_match_exact_convolution_at_large_order(reference):
     # at z = 1/(i nu), nu = 10^4, in exact rational arithmetic, so the only
     # deviation is the rounding in the stored a_k floats.
     gamma = STIRLING_COEFFICIENTS
-    C = _exact_c(Fraction(1, 4))
+    C = _exact_c(Fraction(1, 4))[:6]
     exact_a = [sum(gamma[r] * C[k - r] for r in range(k + 1))
                for k in range(6)]
     impl_a = [Fraction(v) for v in a_coefficients(0.25, "modified")]
@@ -131,6 +140,9 @@ def test_big_a_reduces_to_arctangent_series():
     assert abs(A[0] - 1.0) <= 1e-15
     assert abs(A[1] + 1.0 / 3.0) <= 1e-15
     assert abs(A[2] - 1.0 / 5.0) <= 1e-15
+    # Two more a_k give the next term, -1/7.
+    A = A_coefficients([1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert len(A) == 4 and abs(A[3] + 1.0 / 7.0) <= 1e-15
 
 
 def test_big_a_requires_unit_leading_coefficient():
@@ -257,35 +269,59 @@ def test_gamma_6_and_7_continue_the_reciprocal_gamma_series():
     assert asymcoeff._GAMMA8 == tuple(float(g) for g in h)
 
 
+def _c_from_the_series(chi: Fraction) -> list[Fraction]:
+    # The t^0..t^7 coefficients of sum_k chi^k t^k / (k! prod_{j<=k}
+    # (1 + j t)), the ascending series sum_k chi^k / (k! (1 + i nu)_k) in
+    # t = 1 / (i nu), by exact power-series arithmetic.
+    total = [Fraction(0)] * 8
+    term = [Fraction(1)] + [Fraction(0)] * 7
+    for k in range(8):
+        total = [u + v for u, v in zip(total, term)]
+        # term *= chi t / ((k + 1) (1 + (k + 1) t)), truncated after t^7.
+        term = [Fraction(0)] + [chi * v / (k + 1) for v in term[:7]]
+        for i in range(1, 8):
+            term[i] -= (k + 1) * term[i - 1]
+    return total
+
+
 def test_the_stirling_number_form_gives_the_c_polynomials():
-    # The form that defines C6 and C7 reproduces the closed C0..C5.
+    # The form the pass evaluates reproduces the closed C0..C7 and the
+    # coefficients of the series they expand.
     for chi in (Fraction(1, 4), Fraction(-3, 7), Fraction(5)):
-        assert [_c_from_stirling(n, chi) for n in range(6)] == _exact_c(chi)
+        stirling = [_c_from_stirling(n, chi) for n in range(8)]
+        assert stirling == _exact_c(chi)
+        assert stirling == _c_from_the_series(chi)
 
 
 @pytest.mark.parametrize("family", ["modified", "ordinary"])
 @pytest.mark.parametrize("x,digits", [(0.5, 14), (1.0, 14), (2.0, 14),
-                                      (4.0, 14), (10.0, 12), (30.0, 10)])
-def test_next_phase_coefficient_matches_exact_arithmetic(x, family, digits):
-    # The exact log-series coefficients reproduce the published A0..A2
-    # and give the A3 the zero finder's fourth correction uses. Its terms
-    # cancel more as x grows: at worst 1.1e-15 relative for x <= 4,
-    # 3.6e-14 at x = 10 and 9.4e-12 at x = 30.
+                                      (4.0, 14), (8.0, 13), (10.0, 13),
+                                      (20.0, 11), (30.0, 10), (45.0, 10),
+                                      (50.0, 9)])
+def test_the_phase_coefficients_match_exact_arithmetic(x, family, digits):
+    # The pass's A0..A3, the A3 the zero finder's fourth correction uses
+    # after the published A0..A2, against the exact log-series
+    # coefficients. The terms cancel more as x grows: the worst relative
+    # error over both families is 1.1e-15 for x <= 4, 1.3e-14 at x = 8,
+    # 2.4e-14 at 10, 9.3e-13 at 20, 9.4e-12 at 30, 2.9e-11 at 45 and
+    # 5.0e-10 at 50.
     coeffs = coefficient_set(x, family)
     chi = Fraction(coeffs.chi) * (1 if family == "modified" else -1)
     exact = _exact_phase_coefficients(chi)
-    got = [*coeffs.A, asymcoeff._next_phase_coefficient(coeffs)]
+    got = asymcoeff._phase_coefficients(x, family)
+    assert tuple(got[:3]) == coeffs.A
+    assert len(got) == len(exact)
     for k, (value, want) in enumerate(zip(got, exact)):
         assert abs(Fraction(value) - want) <= Fraction(1, 10 ** digits) * \
             abs(want), f"A{k}"
 
 
-def test_next_phase_coefficient_raises_where_it_overflows():
+def test_the_phase_coefficient_a3_raises_where_it_overflows():
     # A3 grows like chi^7 and leaves the floats from x ~ 2e22 on, long
     # before coefficient_set's own limit near x = 1.4e31.
-    coeffs = coefficient_set(1e25, "modified")
+    assert all(map(math.isfinite, coefficient_set(1e25, "modified").A))
     with pytest.raises(DomainError, match="A3 is not finite"):
-        asymcoeff._next_phase_coefficient(coeffs)
+        asymcoeff._phase_coefficients(1e25, "modified")
     with pytest.raises(DomainError, match="A3 is not finite"):
         asymptotic_zero("L", 1, 1e25)
 
@@ -303,23 +339,28 @@ def test_coefficient_set_invariants():
 @pytest.mark.parametrize("x", [1e100, math.inf])
 @pytest.mark.parametrize("family", ["modified", "ordinary"])
 def test_coefficient_set_rejects_an_x_whose_coefficients_overflow(x, family):
-    # 1e100 overflows chi ** 2 inside c_polynomials; inf gives inf - inf.
+    # 1e100 overflows C2 to inf; at inf, C1 is already inf.
     with pytest.raises(DomainError, match="cannot form finite coefficients"):
         coefficient_set(x, family)
 
 
-def test_coefficient_set_evaluates_the_c_polynomials_once(monkeypatch):
+def test_coefficient_set_makes_one_pass(monkeypatch):
+    # One evaluation of C0..C7 and one run of the log-series recurrence.
     calls = []
 
-    def counting(chi):
-        calls.append(chi)
-        return c_polynomials(chi)
+    def counting(name, function):
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+        monkeypatch.setattr(asymcoeff, name, wrapper)
 
-    monkeypatch.setattr(asymcoeff, "c_polynomials", counting)
+    counting("_c_and_a", asymcoeff._c_and_a)
+    counting("A_coefficients", asymcoeff.A_coefficients)
     coeffs = coefficient_set(1.0, "ordinary")
-    assert calls == [-0.25]
+    assert calls == ["_c_and_a", "A_coefficients"]
     assert list(coeffs.C) == c_polynomials(-0.25)
     assert list(coeffs.a) == a_coefficients(0.25, "ordinary")
+    assert list(coeffs.A) == A_coefficients(list(coeffs.a))
 
 
 def test_coefficient_set_matches_reference_values(reference):

@@ -13,8 +13,8 @@ import sys
 
 import pytest
 
+import imbessel.asymcoeff as asymcoeff
 import imbessel.cli as cli
-import imbessel.zerofinder as zerofinder
 from imbessel import (BracketingError, EnumerationError, FunctionKind,
                       asymptotic_zero, coefficient_set,
                       correction_coefficients, enumerate_zeros, leading_xi,
@@ -144,17 +144,31 @@ def test_table_json_rows_carry_the_record_keys(capsys):
             assert dp6(zero_by_key[kind, n]) == dp6(TABLE_ZERO[kind][i])
 
 
-def test_table_builds_one_coefficient_set_per_kind(capsys, monkeypatch):
+def _count_passes(monkeypatch) -> list:
+    # The (x, family) of each coefficient pass, as it is made.
     calls = []
+    expansion = asymcoeff._expansion
 
     def counting(*args):
         calls.append(args)
-        return coefficient_set(*args)
+        return expansion(*args)
 
-    monkeypatch.setattr(zerofinder, "coefficient_set", counting)
+    monkeypatch.setattr(asymcoeff, "_expansion", counting)
+    return calls
+
+
+def test_table_makes_one_coefficient_pass_per_kind(capsys, monkeypatch):
+    calls = _count_passes(monkeypatch)
     code, _, _ = _run(capsys, ["table", "--table", "2", "--x", "2.0"])
     assert code == 0
     assert calls == [(2.0, "ordinary"), (2.0, "ordinary")]
+
+
+def test_coeffs_makes_one_coefficient_pass(capsys, monkeypatch):
+    calls = _count_passes(monkeypatch)
+    code, _, _ = _run(capsys, ["coeffs", "--kind", "K", "--n-max", "20"])
+    assert code == 0
+    assert calls == [(1.0, "modified")]
 
 
 def test_table_reports_an_invalid_x_in_every_cell(capsys):
@@ -353,7 +367,7 @@ def test_a_table_at_an_x_too_large_for_the_coefficients_exits_2(capsys):
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 @pytest.mark.parametrize("x,want_code,first_reason", [
     ("1e100", 2, _OVERFLOW),
-    ("70", 3, "estimate nu = 82.26528872338021 -+ 1.3896826115158945 "
+    ("70", 3, "estimate nu = 82.26528872336301 -+ 1.389682611548892 "
               "leaves the phase window"),
 ], ids=["x1e100", "x70"])
 def test_table_writes_the_reason_for_each_failed_cell_to_stderr(

@@ -50,8 +50,9 @@ def test_kind_families_and_phase_offsets():
     assert FunctionKind.G.quarter == -0.25
     assert FunctionKind.L.m_value(1) == 1.25 * math.pi
     assert FunctionKind.K.m_value(1) == 0.75 * math.pi
-    assert FunctionKind.L.phase_target(1) == pytest.approx(1.5 * math.pi)
-    assert FunctionKind.K.phase_target(1) == pytest.approx(math.pi)
+    assert FunctionKind.L.m_value(1) + math.pi / 4 == \
+        pytest.approx(1.5 * math.pi)
+    assert FunctionKind.K.m_value(1) + math.pi / 4 == pytest.approx(math.pi)
 
 
 def test_phase_formula():
@@ -113,8 +114,8 @@ def test_estimate_partial_sums_are_cumulative(estimates_x1):
             running = running + B[k] / m ** (2 * k + 1)
             assert estimate.partial[k + 1] == running, f"{kind} n={n} k={k}"
         assert estimate.nu == estimate.partial[3]
-        A = [*A, asymcoeff._next_phase_coefficient(
-            coefficient_set(1.0, fk.family))]
+        A = asymcoeff._phase_coefficients(1.0, fk.family)
+        assert A[:3] == list(coefficient_set(1.0, fk.family).A)
         B3 = asymcoeff._fourth_correction(A, correction_coefficients(
             A, estimate.xi, m))
         assert estimate.partial[4] == running + B3 / (m ** 5 * (m * m))
@@ -593,8 +594,8 @@ def test_the_fourth_correction_raises_the_order_of_the_estimate(kind, x):
     # xi). The fourth correction removes that term and leaves the xi^-9 of
     # the next: |p4 - nu*| xi^2 / |p3 - nu*| is at most 14.4 (x = 4). The
     # sums are formed from the exact xi, so float rounding stays far below.
-    coeffs = coefficient_set(x, kind.family)
-    A = [*coeffs.A, asymcoeff._next_phase_coefficient(coeffs)]
+    A = asymcoeff._phase_coefficients(x, kind.family)
+    assert A[:3] == list(coefficient_set(x, kind.family).A)
     errors = []
     with mp.workdps(50):
         for n in (10, 20, 40):
@@ -881,7 +882,7 @@ def test_refined_phases_sit_within_the_half_pi_window(records_x1,
                                                       estimates_x1):
     for (kind, n), record in records_x1.items():
         estimate = estimates_x1[kind, n]
-        target = FunctionKind.coerce(kind).phase_target(n)
+        target = FunctionKind.coerce(kind).m_value(n) + math.pi / 4
         offset = abs(phase(record.nu_refined, estimate.lambda_) - target)
         assert offset < 0.5 * math.pi, f"{kind} n={n}"
 
@@ -1028,14 +1029,15 @@ def test_enumerate_matches_refining_each_estimate(kind, x):
         assert record == want, f"{kind} n={n} {differ}"
 
 
-def test_enumerate_builds_the_coefficient_set_once(monkeypatch):
+def test_enumerate_builds_the_coefficients_in_one_pass(monkeypatch):
     calls = []
+    expansion = asymcoeff._expansion
 
     def counting(*args):
         calls.append(args)
-        return coefficient_set(*args)
+        return expansion(*args)
 
-    monkeypatch.setattr(zerofinder, "coefficient_set", counting)
+    monkeypatch.setattr(asymcoeff, "_expansion", counting)
     assert len(enumerate_zeros("F", 2.0, 25)) == 25
     assert calls == [(2.0, "ordinary")]
 
