@@ -11,8 +11,9 @@ _fourth_correction. The correction coefficients b_k (xi-normalized) and B_k
 m - A0/nu - A1/nu^3 - A2/nu^5 around the leading solution xi.
 
 The ordinary family (F, G) evaluates the C_k at -chi. All coefficients are
-n-independent, so a CoefficientSet is built once per (x, family) and reused
-for every zero index. Both records are immutable NamedTuples.
+n-independent, so the zero finder makes the pass once per (x, family) and
+reuses its A_0..A_3 for every zero index; coefficient_set returns the
+published part as a CoefficientSet. Both records are immutable NamedTuples.
 """
 
 from __future__ import annotations
@@ -130,8 +131,8 @@ def correction_coefficients(A: list[float], xi: float,
     The caller guarantees xi * log(lambda * xi) = m, so 1 + log(lambda * xi)
     equals (1 + chi_ratio) / chi_ratio with chi_ratio = xi / m; that form
     avoids re-deriving lambda here. Raises DomainError for xi or m not in
-    (0, inf), and when that pivot is not positive (xi at or below x/2,
-    where the expansion is meaningless).
+    (0, inf), and for a chi_ratio outside (2^-255, 2^255), where its fourth
+    power, a divisor of B2, is not a normal float.
     """
     xi = float(xi)
     m = float(m)
@@ -140,11 +141,10 @@ def correction_coefficients(A: list[float], xi: float,
             f"correction_coefficients requires finite xi > 0 and m > 0, "
             f"got xi = {xi!r}, m = {m!r}")
     chi_ratio = xi / m
+    if not 2.0 ** -255 < chi_ratio < 2.0 ** 255:
+        raise DomainError(f"degenerate correction: xi / m = {chi_ratio!r} "
+                          f"(xi = {xi!r}, m = {m!r})")
     one_plus_log = (1.0 + chi_ratio) / chi_ratio
-    if one_plus_log <= 0.0:
-        raise DomainError(
-            f"degenerate correction: 1 + log(lambda*xi) = {one_plus_log!r} "
-            f"is not positive (xi = {xi!r})")
 
     A0, A1, A2 = float(A[0]), float(A[1]), float(A[2])
     b0 = -A0 / one_plus_log

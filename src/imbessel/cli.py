@@ -113,10 +113,9 @@ def cmd_zeros(args: argparse.Namespace, out) -> int:
     """Compute, refine, and report zeros n = 1..n_max (or a single n)."""
     kind = FunctionKind.coerce(args.kind)
     if args.n is not None:
-        records = [refine_zero(asymptotic_zero(kind, args.n, args.x),
-                               args.tol)]
+        records = [refine_zero(asymptotic_zero(kind, args.n, args.x))]
     else:
-        records = enumerate_zeros(kind, args.x, args.n_max, args.tol)
+        records = enumerate_zeros(kind, args.x, args.n_max)
     # Report the partial sum --order selects; records report partial[3].
     order = args.order
     if order != 3:
@@ -154,14 +153,14 @@ def cmd_table(args: argparse.Namespace, out) -> int:
     cells: dict[tuple[FunctionKind, int], ZeroRecord | Exception] = {}
     code = _EXIT_OK
     for kind in kinds:
-        # One coefficient set per kind; a cell that cannot build it records
+        # One coefficient pass per kind; a cell that cannot make it records
         # the error, and the next cell tries again.
         estimate_of = None
         for n in _TABLE_NS:
             try:
                 if estimate_of is None:
                     estimate_of = _estimator(kind, args.x)
-                cells[kind, n] = refine_zero(estimate_of(n), args.tol)
+                cells[kind, n] = refine_zero(estimate_of(n))
             except (DomainError, ConvergenceError) as exc:
                 cells[kind, n] = exc
                 code = max(code, _exit_code_for(exc))
@@ -254,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeros.add_argument("--n", type=int, default=None)
     p_zeros.add_argument("--n-max", type=int, default=5)
     p_zeros.add_argument("--order", type=int, choices=[0, 1, 2, 3], default=3)
-    p_zeros.add_argument("--tol", type=float, default=1e-12)
     p_zeros.add_argument("--format", choices=["text", "csv", "json"],
                          default="text")
     p_zeros.set_defaults(run=cmd_zeros)
@@ -262,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="reproduce a reference table")
     p_table.add_argument("--table", type=int, choices=[1, 2], default=1)
     p_table.add_argument("--x", type=float, default=1.0)
-    p_table.add_argument("--tol", type=float, default=1e-12)
     p_table.add_argument("--format", choices=["text", "csv", "json"],
                          default="text")
     p_table.set_defaults(run=cmd_table)

@@ -39,7 +39,8 @@ from .lambertw import lambert_w0
 __all__ = ["ZeroEstimate", "ZeroRecord", "phase", "leading_xi",
            "asymptotic_zero", "refine_zero", "enumerate_zeros"]
 
-_DEFAULT_WIDTH = 1e-12
+# The width to which every zero's enclosure is refined.
+_WIDTH = 1e-12
 
 _EPS = math.ulp(1.0)
 
@@ -183,7 +184,7 @@ def _inside_phase_window(lo: float, hi: float,
 
 
 def _brent(g: Callable[[float], float], a: float, b: float, fa: float,
-           fb: float, tol: float) -> tuple[float, float]:
+           fb: float) -> tuple[float, float]:
     """Brent-Dekker zeroin on [a, b], where g(a) and g(b) differ in sign.
 
     Each step takes inverse quadratic or secant interpolation when it lands
@@ -191,7 +192,7 @@ def _brent(g: Callable[[float], float], a: float, b: float, fa: float,
     otherwise (Brent, Algorithms for Minimization without Derivatives, 1973,
     ch. 4). Returns (b, g(b)) for the best evaluated iterate b, the one with
     the smallest |g| at an end of the current bracket, once g(b) == 0.0 or
-    the bracket half-width is at most 2 eps |b| + tol / 2. b lies in the
+    the bracket half-width is at most 2 eps |b| + _WIDTH / 2. b lies in the
     closed starting bracket and may be one of its ends.
     """
     c, fc = a, fa
@@ -201,7 +202,7 @@ def _brent(g: Callable[[float], float], a: float, b: float, fa: float,
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * _WIDTH
         xm = 0.5 * (c - b)
         if fb == 0.0 or abs(xm) <= tol1:
             return b, fb
@@ -242,7 +243,7 @@ def _sign_above(kind: FunctionKind, n: int) -> float:
 
 
 def _half_bracket(kind: FunctionKind, x: float, lo: float, hi: float,
-                  nu_hat: float, g_hat: float, sign_above: float, tol: float
+                  nu_hat: float, g_hat: float, sign_above: float
                   ) -> tuple[float, float, tuple[float, float]] | None:
     # Solve on the closed half of [lo, hi] that the sign of g_hat puts across
     # the zero; (nu_refined, g(nu_refined), bracket), or None when the
@@ -261,14 +262,13 @@ def _half_bracket(kind: FunctionKind, x: float, lo: float, hi: float,
     # _brent's first pass: a bracket within its stopping step returns the end
     # with the smaller |g|, nu_hat on a tie, and needs no g.
     b, g_b = (end, g_end) if abs(g_end) < abs(g_hat) else (nu_hat, g_hat)
-    if abs(0.5 * (end - nu_hat)) <= 2.0 * _EPS * abs(b) + 0.5 * tol:
+    if abs(0.5 * (end - nu_hat)) <= 2.0 * _EPS * abs(b) + 0.5 * _WIDTH:
         return b, g_b, bracket
     return (*_brent(lambda nu: detection_value(kind, nu, x), end, nu_hat,
-                    g_end, g_hat, tol), bracket)
+                    g_end, g_hat), bracket)
 
 
-def refine_zero(estimate: ZeroEstimate,
-                tol: float = _DEFAULT_WIDTH) -> ZeroRecord:
+def refine_zero(estimate: ZeroEstimate) -> ZeroRecord:
     """Refine an asymptotic estimate to a machine-accurate zero.
 
     The estimate names the zero: its kind, n and x are the request. Brackets
@@ -279,26 +279,24 @@ def refine_zero(estimate: ZeroEstimate,
     Just above the nth zero g has the sign -kind.sign * (-1)**n, so
     g(nu_hat) tells which end lies across the zero, and only that end is
     evaluated; a Brent-Dekker solver then starts from the estimate on that
-    half bracket and runs until its bracket is at most `tol` (plus a few
-    ulps) wide. At most two brackets are tried: one solver stopping step
-    wide, if the last correction is below _PROBE_STEPS of them, then
+    half bracket and runs until its bracket is at most _WIDTH = 1e-12 (plus
+    a few ulps) wide. At most two brackets are tried: one solver stopping
+    step wide, if the last correction is below _PROBE_STEPS of them, then
     nu_hat -+ h. An estimate where g is exactly 0.0 is the zero once both
     ends of a bracket change sign. The zero returned is the solver's best
     evaluated point, whose residual costs no evaluation.
     Raises DomainError for an estimate whose n is not a positive integer,
-    for tol outside (0, inf), when nu_hat -+ h rounds onto nu_hat, past
-    the float resolution, or when nu_hat - h <= 0, and BracketingError,
-    which signals an invalid estimate or one too far from its zero for h,
-    when nu_hat -+ h leaves the phase window, both before any evaluation,
-    and when neither bracket shows a sign change.
+    when nu_hat -+ h rounds onto nu_hat, past the float resolution, or when
+    nu_hat - h <= 0, and BracketingError, which signals an invalid estimate
+    or one too far from its zero for h, when nu_hat -+ h leaves the phase
+    window, both before any evaluation, and when neither bracket shows a
+    sign change.
     """
     kind, n, x, _, _, _, partial = estimate
     kind = FunctionKind.coerce(kind)
     if kind is not estimate.kind:
         estimate = estimate._replace(kind=kind)
     n = _positive_int("n", n)
-    if not (0.0 < tol < math.inf):
-        raise DomainError(f"refine_zero requires finite tol > 0, got {tol!r}")
 
     nu_hat = partial[-1]
     last = abs(nu_hat - partial[-2])
@@ -319,14 +317,13 @@ def refine_zero(estimate: ZeroEstimate,
     g_hat = detection_value(kind, nu_hat, x)
     sign_above = _sign_above(kind, n)
     # The solver's stopping step: a sign change there ends _brent at once.
-    step = 2.0 * _EPS * abs(nu_hat) + 0.5 * tol
+    step = 2.0 * _EPS * abs(nu_hat) + 0.5 * _WIDTH
     found = None
     if last < _PROBE_STEPS * step and step <= h:
         found = _half_bracket(kind, x, nu_hat - step, nu_hat + step,
-                              nu_hat, g_hat, sign_above, tol)
+                              nu_hat, g_hat, sign_above)
     if found is None:
-        found = _half_bracket(kind, x, lo, hi, nu_hat, g_hat, sign_above,
-                              tol)
+        found = _half_bracket(kind, x, lo, hi, nu_hat, g_hat, sign_above)
     if found is None:
         raise BracketingError(
             f"no sign change of the detection value for "
@@ -340,12 +337,11 @@ def refine_zero(estimate: ZeroEstimate,
         _normalized(g_refined, kind.log_scale(nu_refined)), partial))
 
 
-def enumerate_zeros(kind: object, x: float, n_max: int,
-                    tol: float = _DEFAULT_WIDTH) -> list[ZeroRecord]:
+def enumerate_zeros(kind: object, x: float, n_max: int) -> list[ZeroRecord]:
     """Refined zeros for n = 1..n_max, strictly increasing in nu.
 
-    Builds the coefficient set once and derives every estimate from it, so
-    each record equals refine_zero(asymptotic_zero(kind, n, x), tol). The
+    Builds the phase coefficients once and derives every estimate from them,
+    so each record equals refine_zero(asymptotic_zero(kind, n, x)). The
     first failing index, n = 1 for an invalid x, aborts the enumeration with
     the completed records attached to the raised EnumerationError.
     """
@@ -356,7 +352,7 @@ def enumerate_zeros(kind: object, x: float, n_max: int,
         try:
             if n == 1:
                 estimate_of = _estimator(kind, x)
-            record = refine_zero(estimate_of(n), tol)
+            record = refine_zero(estimate_of(n))
             if records and record.nu_refined <= records[-1].nu_refined:
                 raise ConvergenceError(
                     f"refined zeros not strictly increasing at n = {n}")

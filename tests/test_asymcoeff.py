@@ -177,6 +177,16 @@ def test_correction_coefficients_reject_nonpositive_inputs(xi, m):
         correction_coefficients([0.1, 0.1, 0.1], xi, m)
 
 
+@pytest.mark.parametrize("xi,m", [(5e-324, 1e300), (1e300, 1e-10),
+                                  (1e-100, 1.0), (1e200, 1e60)])
+def test_correction_coefficients_reject_a_degenerate_ratio(xi, m):
+    # xi / m underflows to 0 or overflows to inf, or its fourth power, a
+    # divisor of B2, does: DomainError, not ZeroDivisionError,
+    # OverflowError or NaN coefficients.
+    with pytest.raises(DomainError, match="degenerate correction"):
+        correction_coefficients([0.1, 0.1, 0.1], xi, m)
+
+
 def _correction_grid():
     for x, family in itertools.product(GRID_X, ("modified", "ordinary")):
         coeffs = coefficient_set(x, family)

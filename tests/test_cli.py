@@ -56,10 +56,9 @@ def test_parser_defaults_reproduce_the_reference_setting():
     parse = cli.build_parser().parse_args
     zeros = parse(["zeros", "--kind", "L"])
     assert (zeros.x, zeros.n, zeros.n_max, zeros.order) == (1.0, None, 5, 3)
-    assert (zeros.tol, zeros.format) == (1e-12, "text")
+    assert zeros.format == "text"
     table = parse(["table"])
-    assert (table.table, table.x, table.tol, table.format) == \
-        (1, 1.0, 1e-12, "text")
+    assert (table.table, table.x, table.format) == (1, 1.0, "text")
     evaluate = parse(["eval", "--kind", "K", "--nu", "2"])
     assert (evaluate.x, evaluate.format) == (1.0, "text")
     coeffs = parse(["coeffs", "--kind", "F"])
@@ -420,16 +419,19 @@ def test_coeffs_with_an_n_whose_phase_target_overflows_exits_2(capsys):
         assert got == (2, "", want), command
 
 
-@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
-def test_zeros_with_a_tolerance_outside_0_inf_exits_2(capsys, tol):
-    code, out, err = _run(capsys, ["zeros", "--kind", "K", "--n", "3",
-                                   f"--tol={tol}"])
-    assert (code, out) == (2, "")
-    assert "refine_zero requires finite tol > 0" in err
+@pytest.mark.parametrize("argv", [["zeros", "--kind", "K"], ["table"]])
+def test_zeros_and_table_take_no_tolerance_option(capsys, argv):
+    # Every zero is refined to one fixed enclosure width.
+    with pytest.raises(SystemExit) as rejected:
+        main(argv + ["--tol", "1e-9"])
+    assert rejected.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol 1e-9" in captured.err
 
 
 def test_zeros_bracketing_failure_exits_3(capsys, monkeypatch):
-    def fake(kind, x, n_max, tol):
+    def fake(kind, x, n_max):
         try:
             raise BracketingError("synthetic stall", (1.0, 2.0))
         except BracketingError as exc:

@@ -201,14 +201,6 @@ def test_refine_zero_takes_the_request_from_the_estimate():
         refine_zero(estimate._replace(kind="Q"))
 
 
-def test_refine_zero_rejects_a_tolerance_outside_0_inf():
-    estimate = asymptotic_zero("L", 1, 1.0)
-    # tol = inf would stop the solver at once, at a bracket end.
-    for tol in (0.0, -1e-12, math.inf, math.nan):
-        with pytest.raises(DomainError, match="requires finite tol > 0"):
-            refine_zero(estimate, tol=tol)
-
-
 def test_refine_zero_rejects_estimates_outside_the_phase_window():
     kind = FunctionKind.K
     real = asymptotic_zero(kind, 1, 1.0)
@@ -217,13 +209,6 @@ def test_refine_zero_rejects_estimates_outside_the_phase_window():
     with pytest.raises(BracketingError) as info:
         refine_zero(bogus)
     assert "phase window" in str(info.value)
-
-
-def test_refine_zero_secant_polish_beats_the_bisection_tolerance(reference):
-    estimate = asymptotic_zero("L", 1, 1.0)
-    record = refine_zero(estimate, tol=1e-6)
-    true = fnum(reference["true_zeros_x1"]["L"][0])
-    assert abs(record.nu_refined - true) <= 1e-6
 
 
 @pytest.mark.parametrize("x", [0.5, 1.0, 4.0])
@@ -515,15 +500,25 @@ def test_the_phase_window_edge_is_where_the_uniform_phase_is_m_pm_half_pi(
                         lo, hi, estimate) is False
 
 
-@pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 4.0, 8.0, 10.0, 15.0, 20.0,
-                               30.0])
-@pytest.mark.parametrize("kind", list(FunctionKind))
+# README's domain of enumeration, n = 1..500: every kind on the grid, L and
+# F also at x = 0.3 and 0.4, and L, F and G also at x = 40 and 45.
+_ENUMERATION_GRID = (0.5, 0.7, 1.0, 1.5, 2.0, *map(float, range(3, 13)),
+                     14.0, 16.0, 18.0, 20.0, 25.0, 30.0, 35.0)
+_ENUMERATION_DOMAIN = (
+    [(kind, x) for kind in FunctionKind for x in _ENUMERATION_GRID]
+    + [(FunctionKind.coerce(kind), x) for kind in "LF" for x in (0.3, 0.4)]
+    + [(FunctionKind.coerce(kind), x) for kind in "LFG" for x in (40.0, 45.0)])
+
+
+@pytest.mark.parametrize("kind,x", _ENUMERATION_DOMAIN)
 def test_the_uniform_phase_labels_every_record(kind, x):
     # Each refined zero sits within pi/16 of its m in the uniform phase, at
     # worst 0.0145 pi (K, x = 0.5, n = 1), and both bracket ends inside the
-    # pi/2 window the guard checks, at worst 0.317 pi (G, x = 30, n = 1).
+    # pi/2 window the guard checks, at worst 0.294 pi (G, x = 45, n = 1).
     # The windows of adjacent n are disjoint, so the guard is the label.
-    for record in enumerate_zeros(kind, x, 500):
+    records = enumerate_zeros(kind, x, 500)
+    assert len(records) == 500
+    for record in records:
         m = kind.m_value(record.n)
         offset = abs(kind.uniform_phase(record.nu_refined, x) - m)
         assert offset < math.pi / 16.0, (record.n, offset)
@@ -792,7 +787,7 @@ def test_brent_returns_an_interior_iterate_where_g_is_exactly_zero():
         evaluated.append(nu)
         return 0.0 if len(evaluated) == 1 else nu - 0.3
 
-    got = zerofinder._brent(g, 0.0, 1.0, -0.3, 0.7, 1e-12)
+    got = zerofinder._brent(g, 0.0, 1.0, -0.3, 0.7)
     assert evaluated and 0.0 < evaluated[0] < 1.0
     assert got == (evaluated[0], 0.0)
     assert len(evaluated) == 1
@@ -804,8 +799,8 @@ def test_a_bracket_within_the_stopping_step_returns_what_brent_returns(
     # The probe bracket needs no solver step: the half bracket returns
     # _brent's answer, the end with the smaller |g| and the estimate on a
     # tie, and evaluates nothing past the end.
-    nu_hat, tol = 1000.0, 1e-12
-    step = 2.0 * math.ulp(1.0) * nu_hat + 0.5 * tol
+    nu_hat = 1000.0
+    step = 2.0 * math.ulp(1.0) * nu_hat + 0.5 * zerofinder._WIDTH
     calls = []
     monkeypatch.setattr(zerofinder, "detection_value",
                         lambda kind, nu, x: calls.append(nu) or g_end)
@@ -813,26 +808,12 @@ def test_a_bracket_within_the_stopping_step_returns_what_brent_returns(
     def no_call(nu):
         raise AssertionError("the solver evaluated")
 
-    want = zerofinder._brent(no_call, nu_hat - step, nu_hat, g_end, 0.5, tol)
+    want = zerofinder._brent(no_call, nu_hat - step, nu_hat, g_end, 0.5)
     got = zerofinder._half_bracket(FunctionKind.K, 1.0, nu_hat - step,
-                                   nu_hat + step, nu_hat, 0.5, 1.0, tol)
+                                   nu_hat + step, nu_hat, 0.5, 1.0)
     assert got == (*want, (nu_hat - step, nu_hat))
     assert calls == [nu_hat - step]
     assert want[0] == (nu_hat - step if g_end == -0.25 else nu_hat)
-
-
-def test_a_tolerance_coarser_than_the_bracket_still_lands_inside_it():
-    # tol = 1 stops the solver before its first step, so the zero is the
-    # evaluated bracket end with the smaller |g|.
-    for kind in "LKFG":
-        record = refine_zero(asymptotic_zero(kind, 1, 1.0), tol=1.0)
-        lo, hi = record.bracket
-        assert lo <= record.nu_refined <= hi, kind
-        g_lo = detection_value(kind, lo, 1.0)
-        g_hi = detection_value(kind, hi, 1.0)
-        assert g_lo * g_hi < 0.0, kind
-        assert record.nu_refined == (lo if abs(g_lo) < abs(g_hi) else hi), \
-            kind
 
 
 def test_record_brackets_straddle_a_sign_change(records_x1, refined_to_500):
@@ -1007,12 +988,21 @@ def test_zero_record_fields_are_the_documented_ones_in_order():
     assert ZeroEstimate._field_defaults == {}
 
 
-def test_enumerate_abort_attaches_completed_records():
+@pytest.mark.parametrize("kind,x,cause", [
+    ("L", 0.05, UnreliableAsymptoticsError),
+    # README's refusals: below its domain of enumeration the leading term
+    # fails the validity guard, and K's n = 1 from x = 40 on lies outside
+    # estimate -+ h.
+    *((kind, x, UnreliableAsymptoticsError) for kind in "KG"
+      for x in (0.3, 0.4)),
+    *((kind, 0.2, UnreliableAsymptoticsError) for kind in "LKFG"),
+    ("K", 40.0, BracketingError), ("K", 45.0, BracketingError)])
+def test_enumerate_abort_attaches_completed_records(kind, x, cause):
     with pytest.raises(EnumerationError) as info:
-        enumerate_zeros("L", 0.05, 3)
+        enumerate_zeros(kind, x, 500)
     assert info.value.n == 1
     assert info.value.partial == ()
-    assert isinstance(info.value.__cause__, UnreliableAsymptoticsError)
+    assert type(info.value.__cause__) is cause
 
 
 @pytest.mark.parametrize("x", [0.5, 1.0, 4.0])
