@@ -1,25 +1,25 @@
 """Coefficient pipeline for the large-nu zero expansions.
 
 For fixed argument x the chain is chi = x^2/4 -> C_k -> a_k -> A_k -> (b_k,
-B_k). One pass per (x, family) builds it to order 8 by one route: C_0..C_7
-from the Stirling numbers of the second kind, a_0..a_7 by one Cauchy product
-with the Stirling coefficients of 1/Gamma (DLMF 5.11), and A_0..A_3 by one
-log-series recurrence. The public functions and records keep the paper's
-C0..C5, a0..a5 and A0..A2; the zero finder also takes A3, for the B3 of
-_fourth_correction. The correction coefficients b_k (xi-normalized) and B_k
-(m-normalized) solve the order-by-order balance of nu log(lambda nu) =
-m - A0/nu - A1/nu^3 - A2/nu^5 around the leading solution xi.
+B_k). One pass per (x, family) builds it to order 14 by one route: C_0..C_13
+from the Stirling numbers of the second kind, a_0..a_13 by one Cauchy
+product with the Stirling coefficients of 1/Gamma (DLMF 5.11), and A_0..A_6
+by one log-series recurrence. The public functions and records keep the
+paper's C0..C5, a0..a5 and A0..A2; the zero finder also takes A3, for the B3
+of _fourth_correction, and A4..A6, for its phase equation. The correction
+coefficients b_k (xi-normalized) and B_k (m-normalized) solve the
+order-by-order balance of nu log(lambda nu) = m - A0/nu - A1/nu^3 - A2/nu^5
+around the leading solution xi.
 
 The ordinary family (F, G) evaluates the C_k at -chi. All coefficients are
 n-independent, so the zero finder makes the pass once per (x, family) and
-reuses its A_0..A_3 for every zero index; coefficient_set returns the
+reuses its A_0..A_6 for every zero index; coefficient_set returns the
 published part as a CoefficientSet. Both records are immutable NamedTuples.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
 from operator import mul
 from typing import NamedTuple
 
@@ -32,22 +32,28 @@ __all__ = ["CoefficientSet", "CorrectionCoefficients", "c_polynomials",
 
 _FAMILIES = ("modified", "ordinary")
 
-# gamma_0..gamma_7, each (-1)^k g_k with g_k the Stirling coefficients of
-# Gamma in DLMF 5.11; the pass builds C_0..C_7 and a_0..a_7 to match.
-_GAMMA8 = (*(float(g) for g in STIRLING_COEFFICIENTS),
-           5246819 / 75246796800, 534703531 / 902961561600)
-_ORDER = len(_GAMMA8)
+# gamma_0..gamma_13, each (-1)^k g_k with g_k the Stirling coefficients of
+# Gamma in DLMF 5.11, correctly rounded from exact rationals.
+_GAMMA = (*(float(g) for g in STIRLING_COEFFICIENTS), 5246819 / 75246796800,
+          534703531 / 902961561600, -4483131259 / 86684309913600,
+          -432261921612371 / 514904800886784000,
+          6232523202521089 / 86504006548979712000,
+          25834629665134204969 / 13494625021640835072000,
+          -1579029138854919086429 / 9716130015581401251840000,
+          -746590869962651602203151 / 116593560186976815022080000)
+_ORDER = len(_GAMMA)
 
 
-def _c_rows() -> tuple[tuple[int, tuple[int, ...]], ...]:
-    # (n!, row) for n = 1..7: the integers (-1)^(n-k) S(n, k) n!/k! for k = n
-    # down to 1, S(n, k) = k S(n-1, k) + S(n-1, k-1) from their triangle.
+def _c_rows() -> tuple[tuple[int, tuple[float, ...]], ...]:
+    # (n!, row) for n = 1..13: the integers (-1)^(n-k) S(n, k) n!/k! for k = n
+    # down to 1, S(n, k) = k S(n-1, k) + S(n-1, k-1) from their triangle, as
+    # the floats that Horner's rule would round them to anyway.
     rows, s = [], [1]
     for n in range(1, _ORDER):
         s = [0, *(k * s[k] + s[k - 1] for k in range(1, n)), 1]
-        f = math.factorial(n)
-        rows.append((f, tuple((-1) ** (n - k) * s[k] * f // math.factorial(k)
-                              for k in range(n, 0, -1))))
+        rows.append((math.factorial(n), tuple(
+            float((-1) ** (n - k) * s[k] * math.perm(n, n - k))
+            for k in range(n, 0, -1))))
     return tuple(rows)
 
 
@@ -99,15 +105,19 @@ def a_coefficients(chi: float, family: str) -> list[float]:
 
 
 def _c_and_a(chi: float, family: str) -> tuple[list[float], list[float]]:
-    # C_0..C_7 at the family's argument c, with C_n(c) = sum_k (-1)^(n-k)
+    # C_0..C_13 at the family's argument c, with C_n(c) = sum_k (-1)^(n-k)
     # S(n, k) c^k / k! = c (r_1 + c (r_2 + ... + c r_n)) / n! by Horner's
     # rule over the row of integers r_k, and a_k = sum_r gamma_r C_{k-r}.
     if family not in _FAMILIES:
         raise DomainError(f"family must be one of {_FAMILIES}, got {family!r}")
     c = float(chi) if family == "modified" else -float(chi)
-    C = [1.0, *(c * reduce(lambda acc, r: r + c * acc, row[1:], row[0]) / f
-                for f, row in _C_ROWS)]
-    return C, [sum(map(mul, _GAMMA8, C[k::-1])) for k in range(_ORDER)]
+    C = [1.0]
+    for f, row in _C_ROWS:
+        acc = row[0]
+        for r in row[1:]:
+            acc = r + c * acc
+        C.append(c * acc / f)
+    return C, [sum(map(mul, _GAMMA, C[k::-1])) for k in range(_ORDER)]
 
 
 def A_coefficients(a: list[float]) -> list[float]:
@@ -118,9 +128,10 @@ def A_coefficients(a: list[float]) -> list[float]:
     """
     if a[0] != 1.0:
         raise DomainError(f"A_coefficients requires a[0] = 1, got {a[0]!r}")
-    g = [0.0] * len(a)
+    g, jg = [0.0] * len(a), [0.0] * len(a)
     for k in range(1, len(a)):
-        g[k] = a[k] - sum(j * g[j] * a[k - j] for j in range(1, k)) / k
+        g[k] = a[k] - sum(map(mul, jg[1:k], a[k - 1:0:-1])) / k
+        jg[k] = k * g[k]
     return [g[k] if k % 4 == 1 else -g[k] for k in range(1, len(a), 2)]
 
 
@@ -166,7 +177,7 @@ def _fourth_correction(A: list[float],
     # B3, the term B3/m^7 after B2/m^5 once - A3/nu^7 joins the balance,
     # from A0..A3 and the b0..b2 that correction_coefficients solved:
     # b3 = N3 / (1 + log(lambda xi)) and B3 = b3 / chi_ratio^7.
-    A0, A1, A2, A3 = A
+    A0, A1, A2, A3 = A[:4]
     b0, b1, b2 = correction.b
     r = correction.chi_ratio
     b00 = b0 * b0
@@ -178,7 +189,7 @@ def _fourth_correction(A: list[float],
 
 
 def _expansion(x: float, family: str) -> tuple:
-    # The one pass for (x, family): x, chi, C_0..C_7, a_0..a_7 and A_0..A_3.
+    # The one pass for (x, family): x, chi, C_0..C_13, a_0..a_13, A_0..A_6.
     # Only the published C_0..C_5, a_0..a_5 and A_0..A_2 must be finite.
     x = float(x)
     if not (x > 0.0):
@@ -193,8 +204,9 @@ def _expansion(x: float, family: str) -> tuple:
 
 
 def _phase_coefficients(x: float, family: str) -> list[float]:
-    # A0..A3 of the pass, for the zero finder. A3 grows like chi^7 and leaves
-    # the floats from x ~ 2e22 on, before coefficient_set's limit of 1.4e31.
+    # A0..A6 of the pass, for the zero finder. A3 grows like chi^7 and leaves
+    # the floats from x ~ 2e22 on (A6 from 1e13, and then no nu* is found),
+    # before coefficient_set's limit of 1.4e31.
     x, _, _, _, A = _expansion(x, family)
     if not math.isfinite(A[3]):
         raise DomainError(

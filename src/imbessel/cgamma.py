@@ -35,19 +35,11 @@ STIRLING_COEFFICIENTS = (
 )
 
 # Bernoulli-number coefficients B_{2j} / (2j (2j-1)) of the log-gamma Stirling
-# series, j = 1..8. Exact rationals, converted once.
-_LOG_GAMMA_TERMS = tuple(
-    float(c) for c in (
-        Fraction(1, 12),
-        Fraction(-1, 360),
-        Fraction(1, 1260),
-        Fraction(-1, 1680),
-        Fraction(1, 1188),
-        Fraction(-691, 360360),
-        Fraction(1, 156),
-        Fraction(-3617, 122400),
-    )
-)
+# series, j = 1..8, named by the power of 1/z each multiplies. Exact
+# rationals, converted once.
+_C1, _C3, _C5, _C7, _C9, _C11, _C13, _C15 = (float(Fraction(*c)) for c in (
+    (1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360),
+    (1, 156), (-3617, 122400)))
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -58,8 +50,6 @@ _SHIFT_RADIUS = 10.0
 # terms 4 to 8 together are below 6.1e-18 there, the fourth
 # 1/(1680 |z|^7) and the other four under 1e-21.
 _TAIL_RADIUS = 100.0
-# The coefficients, named by the power of 1/z each multiplies.
-_C1, _C3, _C5, _C7, _C9, _C11, _C13, _C15 = _LOG_GAMMA_TERMS
 
 # z * z overflows from |z| = 1.34e154 on; below this bound |z|^2 < 1e308
 # and |(z - 0.5) log z| < 1e157, so the Stirling series stays finite.

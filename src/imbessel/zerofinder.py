@@ -6,18 +6,17 @@ L and F vanish near Phi = (n + 1/2) pi, K and G near Phi = n pi. With m the
 kind's (n + 1/4) pi or (n - 1/4) pi (FunctionKind.m_value), the leading zero
 solves xi * log(lambda xi) = m as xi = m / W(lambda m) (Lambert W), and the
 paper's three corrections B_k / m^{2k+1} complete the estimate. A fourth,
-B3 / m^7, carries the expansion one order further, and refinement starts
-from that sum; their coefficients depend on x and the kind's series family
-only, so an enumeration builds them once. Phi is the nu >> x limit of the
-uniform (Debye) phase Psi (Dunster, SIAM J. Math. Anal. 21, 1990; DLMF
-10.20, 10.41), whose Psi - pi/4, FunctionKind.uniform_phase, is close to m
-at the nth zero at any x and a full pi from it at the next zeros.
-Refinement takes the estimate alone: it
-brackets the sign change of the unit-normalized function value around it,
+B3 / m^7, carries the expansion one order further; where that sum is too
+coarse to probe, refinement starts from the root nu* of the phase equation
+they expand, carried to A6. The A_k depend on x and the family only, so an
+enumeration builds them once. Phi is the nu >> x limit of the uniform
+(Debye) phase Psi (Dunster, SIAM J. Math. Anal. 21, 1990; DLMF 10.20,
+10.41), whose Psi - pi/4, FunctionKind.uniform_phase, is close to m at the
+nth zero at any x and a full pi from it at the next zeros. Refinement
+brackets the sign change of the unit-normalized value around the last sum
 with ends where Psi - pi/4 is within pi/2 of m, so the bracket can never
-leak to an adjacent zero, and closes in with Brent-Dekker's zeroin started
-from the estimate, evaluating only the bracket end across the zero: far out
-first one solver stopping step away, then the estimate's own half-width.
+leak to an adjacent zero, and closes in with Brent-Dekker's zeroin from the
+start, evaluating only the bracket end across the zero.
 
 ZeroEstimate and ZeroRecord, like every record of the package, are immutable
 typing.NamedTuples: a record unpacks, indexes and compares as the plain
@@ -44,10 +43,9 @@ _WIDTH = 1e-12
 
 _EPS = math.ulp(1.0)
 
-# The probe is tried when the last correction is below this many solver
-# stopping steps. No probe misses at x = 1, n <= 50 (the first would at
-# 132, G n = 26), and 14 of 7,468 (0.19%) do for every kind at x = 0.5, 1,
-# 2 and 4, n <= 500.
+# The probe is tried when the start's size is below this many solver
+# stopping steps. It misses 41 of 7,904 tries at x = 0.5 to 4, n <= 500 (27
+# from nu*, the first at 2.3 steps: K n = 6, x = 0.5), 77 of 5,616 at 10-30.
 _PROBE_STEPS = 100.0
 
 
@@ -55,8 +53,9 @@ class ZeroEstimate(NamedTuple):
     """Asymptotic estimate data for one zero.
 
     partial holds the cumulative sums xi, xi + B0/m, xi + B0/m + B1/m^3,
-    the paper's three-correction value nu, and nu + B3/m^7, where
-    refinement starts.
+    the paper's three-correction value nu, and nu + B3/m^7. start is None to
+    start refinement there, or (nu*, size): the phase equation's root and
+    its last term |A6| nu*^-13 / (1 + log(lambda nu*)), which gates the probe.
     """
 
     kind: FunctionKind
@@ -66,6 +65,7 @@ class ZeroEstimate(NamedTuple):
     lambda_: float
     xi: float
     partial: tuple[float, float, float, float, float]
+    start: tuple[float, float] | None = None
 
     @property
     def nu(self) -> float:
@@ -137,7 +137,7 @@ def _positive_int(name: str, value: object) -> int:
 
 def _estimator(kind: FunctionKind,
                x: float) -> Callable[[int], ZeroEstimate]:
-    # Validate x and build the phase coefficients A0..A3 in one pass; the
+    # Validate x and build the phase coefficients A0..A6 in one pass; the
     # returned function gives the estimate of the nth zero from them.
     if not (x > 0.0):
         raise DomainError(f"asymptotic_zero requires x > 0, got {x!r}")
@@ -148,7 +148,7 @@ def _estimator(kind: FunctionKind,
 def _estimate(kind: FunctionKind, n: int, x: float,
               A: list[float]) -> ZeroEstimate:
     # The estimate for validated arguments, from the phase coefficients
-    # A0..A3 of (x, kind.family).
+    # A0..A6 of (x, kind.family).
     try:
         m = kind.m_value(n)
         m3, m5 = m ** 3, m ** 5
@@ -171,8 +171,33 @@ def _estimate(kind: FunctionKind, n: int, x: float,
     p3 = p2 + B2 / m5
     # m^7 may overflow to inf where m^5 does not; the term is then 0.0.
     p4 = p3 + _fourth_correction(A, correction) / (m5 * (m * m))
+    # nu* where p4 is too coarse to probe, if in the middle half of p4 -+ h.
+    last, start = abs(p4 - p3), None
+    if last >= _PROBE_STEPS * (2.0 * _EPS * p4 + 0.5 * _WIDTH):
+        start = _phase_root(A, m, lambda_, p4, max(0.025, last))
     return tuple.__new__(ZeroEstimate, (kind, n, float(x), m, lambda_, xi,
-                                        (p0, p1, p2, p3, p4)))
+                                        (p0, p1, p2, p3, p4), start))
+
+
+def _phase_root(A: list[float], m: float, lambda_: float, nu: float,
+                reach: float) -> tuple[float, float] | None:
+    # (nu*, its last term's size) by Newton from nu on nu log(lambda nu) +
+    # sum_{k<=6} A_k nu^-(2k+1) = m (Horner in 1/nu^2) until a step is at most
+    # 1e-7 nu; None once an iterate leaves nu -+ reach, or after 8 steps.
+    lo, hi = max(0.0, nu - reach), nu + reach
+    for _ in range(8):
+        t, s, ds = 1.0 / (nu * nu), 0.0, 0.0
+        for k in range(6, -1, -1):
+            s, ds = s * t + A[k], ds * t + (2 * k + 1) * A[k]
+        lg = math.log(lambda_ * nu)
+        slope = lg + 1.0 - ds * t
+        step = (nu * lg + s / nu - m) / slope if slope > 0.0 else math.nan
+        nu -= step
+        if not lo < nu < hi:
+            return None
+        if abs(step) <= 1e-7 * nu:
+            return nu, abs(A[6]) * t ** 6 / ((nu + step) * (1.0 + lg))
+    return None
 
 
 def _inside_phase_window(lo: float, hi: float,
@@ -272,54 +297,57 @@ def refine_zero(estimate: ZeroEstimate) -> ZeroRecord:
     """Refine an asymptotic estimate to a machine-accurate zero.
 
     The estimate names the zero: its kind, n and x are the request. Brackets
-    the unit-normalized detection value g around the estimate's last
-    partial sum nu_hat in nu_hat -+ h, h seeded by the last correction
-    term, the last sum less the one before it, whose ends must keep
-    the kind's uniform phase within pi/2 of m, the zero's phase window.
-    Just above the nth zero g has the sign -kind.sign * (-1)**n, so
-    g(nu_hat) tells which end lies across the zero, and only that end is
-    evaluated; a Brent-Dekker solver then starts from the estimate on that
-    half bracket and runs until its bracket is at most _WIDTH = 1e-12 (plus
-    a few ulps) wide. At most two brackets are tried: one solver stopping
-    step wide, if the last correction is below _PROBE_STEPS of them, then
-    nu_hat -+ h. An estimate where g is exactly 0.0 is the zero once both
-    ends of a bracket change sign. The zero returned is the solver's best
-    evaluated point, whose residual costs no evaluation.
+    the unit-normalized detection value g in p -+ h around the estimate's
+    last partial sum p, h seeded by the last correction term, the last sum
+    less the one before it, whose ends must keep the kind's uniform phase
+    within pi/2 of m, the zero's phase window, and starts from the
+    estimate's start nu_hat, inside p -+ h. Just above the nth zero g has
+    the sign -kind.sign * (-1)**n, so g(nu_hat) tells which end lies across
+    the zero, and only that end is evaluated; a Brent-Dekker solver then
+    starts from nu_hat on that half bracket and runs until its bracket is at
+    most _WIDTH = 1e-12 (plus a few ulps) wide. At most two brackets are
+    tried: one solver stopping step wide, if the start's size is below
+    _PROBE_STEPS of them, then p -+ h. An estimate where g is exactly 0.0 is
+    the zero once both ends of a bracket change sign. The zero returned is
+    the solver's best evaluated point, whose residual costs no evaluation.
     Raises DomainError for an estimate whose n is not a positive integer,
-    when nu_hat -+ h rounds onto nu_hat, past the float resolution, or when
-    nu_hat - h <= 0, and BracketingError, which signals an invalid estimate
-    or one too far from its zero for h, when nu_hat -+ h leaves the phase
-    window, both before any evaluation, and when neither bracket shows a
-    sign change.
+    when p -+ h rounds onto p, past the float resolution, or when p - h <= 0,
+    and BracketingError, which signals an invalid estimate or one too far
+    from its zero for h, when p -+ h leaves the phase window or does not
+    hold nu_hat, both before any evaluation, and when neither bracket shows
+    a sign change.
     """
-    kind, n, x, _, _, _, partial = estimate
+    kind, n, x, _, _, _, partial, start = estimate
     kind = FunctionKind.coerce(kind)
     if kind is not estimate.kind:
         estimate = estimate._replace(kind=kind)
     n = _positive_int("n", n)
 
-    nu_hat = partial[-1]
-    last = abs(nu_hat - partial[-2])
+    p = partial[-1]
+    last = abs(p - partial[-2])
     h = max(0.05, 2.0 * last)
-    if nu_hat - h == nu_hat or nu_hat + h == nu_hat:
+    if p - h == p or p + h == p:
         raise DomainError(
-            f"estimate nu = {nu_hat!r} -+ {h!r} rounds onto the estimate: "
+            f"estimate nu = {p!r} -+ {h!r} rounds onto the estimate: "
             f"{kind.value} n={n} x={x!r} is past the float resolution")
-    lo, hi = nu_hat - h, nu_hat + h
+    lo, hi = p - h, p + h
     if not lo > 0.0:
-        raise DomainError(f"estimate nu = {nu_hat!r} -+ {h!r} reaches "
+        raise DomainError(f"estimate nu = {p!r} -+ {h!r} reaches "
                           f"nu <= 0: {kind.value} n={n} x={x!r}")
     # A bracket that leaves the window may hold another zero than this one.
     if not _inside_phase_window(lo, hi, estimate):
         raise BracketingError(
-            f"estimate nu = {nu_hat!r} -+ {h!r} leaves the phase window "
+            f"estimate nu = {p!r} -+ {h!r} leaves the phase window "
             f"of {kind.value} n={n} x={x!r}", (lo, hi))
+    nu_hat, size = start or (p, last)
+    if not lo < nu_hat < hi:
+        raise BracketingError(f"start {nu_hat!r} lies outside", (lo, hi))
     g_hat = detection_value(kind, nu_hat, x)
     sign_above = _sign_above(kind, n)
     # The solver's stopping step: a sign change there ends _brent at once.
     step = 2.0 * _EPS * abs(nu_hat) + 0.5 * _WIDTH
     found = None
-    if last < _PROBE_STEPS * step and step <= h:
+    if size < _PROBE_STEPS * step and step <= h:
         found = _half_bracket(kind, x, nu_hat - step, nu_hat + step,
                               nu_hat, g_hat, sign_above)
     if found is None:

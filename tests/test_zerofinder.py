@@ -251,14 +251,16 @@ def test_refine_zero_starts_the_solver_at_the_estimate(kind, x, monkeypatch):
 
 
 def test_a_four_sum_estimate_refines_from_its_last_sum(monkeypatch):
-    # An estimate built by hand with the paper's four sums starts from
-    # partial[3], and its +-h stage keeps h = max(0.05, 2 |p3 - p2|).
+    # An estimate built by hand with the paper's four sums and no start of
+    # its own starts from partial[3], and its +-h stage keeps
+    # h = max(0.05, 2 |p3 - p2|).
     calls = _count_detection_calls(monkeypatch)
     for kind in FunctionKind:
         estimate = asymptotic_zero(kind, 1, 1.0)
+        assert estimate.start is not None, kind
         p = estimate.partial[:4]
         calls.clear()
-        record = refine_zero(estimate._replace(partial=p))
+        record = refine_zero(estimate._replace(partial=p, start=None))
         h = max(0.05, 2.0 * abs(p[3] - p[2]))
         assert calls[0][1] == p[3], kind
         assert calls[1][1] in (p[3] - h, p[3] + h), kind
@@ -311,26 +313,43 @@ def test_the_bracket_end_above_each_zero_has_the_predicted_sign(
             assert above * detection_value(kind, lo, x) < 0.0, where
 
 
-def test_refinement_averages_at_most_2_2_detection_evaluations(
+def test_refinement_averages_at_most_2_06_detection_evaluations(
         refined_to_500):
-    # Measured at 2.153 (2.448 when refinement started from the paper's
-    # three-correction sum); the residual adds no evaluation to these.
+    # Measured at 2.045 (2.153 when every zero started from the fifth sum,
+    # 2.448 from the paper's three-correction sum); the residual adds no
+    # evaluation to these.
     counts = [count for (_, x), rows in refined_to_500.items() if x <= 4.0
               for _, count in rows]
     assert len(counts) == 8000
-    assert sum(counts) / len(counts) <= 2.2
+    assert sum(counts) / len(counts) <= 2.06
 
 
 def test_the_probe_costs_nothing_where_the_estimate_is_coarse(
         refined_to_500):
-    # At x = 1, n <= 50 the probe is taken where the fourth correction is
-    # small enough, from n = 23 to 28 on, and never misses there: the mean
-    # is 3.06 evaluations, against 4.40 for the +-h stage alone.
+    # At x = 1, n <= 50 the fifth sum is close enough to probe from n = 23
+    # to 28 on; below that refinement starts from nu*, which is probed from
+    # n = 5 to 7 on. The sum is 470 evaluations (2.35 a zero), against 612
+    # from the fifth sum alone and 880 for the +-h stage alone.
     counts = [count for kind in FunctionKind
               for record, count in refined_to_500[kind, 1.0]
               if record.n <= 50]
     assert len(counts) == 200
-    assert sum(counts) <= 612
+    assert sum(counts) <= 480
+
+
+@pytest.mark.parametrize("x,bound", [(10.0, 2.15), (20.0, 2.25),
+                                     (30.0, 2.35)])
+def test_large_x_refinement_averages_few_detection_evaluations(
+        x, bound, monkeypatch):
+    # Every kind, n <= 500: measured 2.103, 2.203 and 2.2825 per zero
+    # (2.6075, 3.383 and 4.1525 when every zero started from the fifth sum,
+    # whose fourth correction is too coarse to probe there).
+    calls = _count_detection_calls(monkeypatch)
+    counts = []
+    for kind in FunctionKind:
+        counts += [count for _, count in _refine_to_500(kind, x, calls)]
+    assert len(counts) == 2000
+    assert sum(counts) / len(counts) <= bound
 
 
 def test_the_probe_confirms_a_far_out_zero_in_two_evaluations(monkeypatch):
@@ -374,12 +393,16 @@ def _refined_at_most_x4(refined_to_500):
 
 
 def test_the_probe_changes_no_zero(refined_to_500, monkeypatch):
-    monkeypatch.setattr(zerofinder, "_PROBE_STEPS", 0.0)
+    # The same estimates, so the same starts, refined with no probe. The
+    # estimates are made first: their start depends on _PROBE_STEPS.
     rows = _refined_at_most_x4(refined_to_500)
     assert len(rows) == 8000
-    for kind, x, record in rows:
+    estimates = [asymptotic_zero(kind, record.n, x)
+                 for kind, x, record in rows]
+    monkeypatch.setattr(zerofinder, "_PROBE_STEPS", 0.0)
+    for (kind, x, record), estimate in zip(rows, estimates):
         where = f"{kind.value} n={record.n} x={x}"
-        plain = refine_zero(asymptotic_zero(kind, record.n, x))
+        plain = refine_zero(estimate)
         assert plain.nu_refined == record.nu_refined, where
         assert plain.residual == record.residual, where
 
@@ -568,9 +591,10 @@ def test_zeros_the_fourth_correction_admits_at_large_x_match_mpmath(kind, x):
 
 
 def _mp_truncated_zero(estimate, A):
-    # The root near the estimate of nu log(lambda nu) = m - sum_{k<=3}
-    # A_k / nu^(2k+1), the balance the four corrections expand, at the
-    # working precision, and the root xi of the balance without the A_k.
+    # The root near the estimate of nu log(lambda nu) = m - sum_k A_k /
+    # nu^(2k+1) over the given A (A0..A3 is the balance the four
+    # corrections expand), at the working precision, and the root xi of
+    # the balance without the A_k.
     m, lambda_ = mp.mpf(estimate.m), 2 / (mp.e * mp.mpf(estimate.x))
     star = mp.findroot(lambda nu: nu * mp.log(lambda_ * nu) - m + sum(
         mp.mpf(a) / nu ** (2 * k + 1) for k, a in enumerate(A)),
@@ -595,7 +619,7 @@ def test_the_fourth_correction_raises_the_order_of_the_estimate(kind, x):
     with mp.workdps(50):
         for n in (10, 20, 40):
             estimate = asymptotic_zero(kind, n, x)
-            star, xi = _mp_truncated_zero(estimate, A)
+            star, xi = _mp_truncated_zero(estimate, A[:4])
             correction = correction_coefficients(A, estimate.xi, estimate.m)
             B = [*correction.B, asymcoeff._fourth_correction(A, correction)]
             sums = [xi]
@@ -608,6 +632,80 @@ def test_the_fourth_correction_raises_the_order_of_the_estimate(kind, x):
     for (xi0, p3_0), (xi1, p3_1) in zip(errors, errors[1:]):
         order = float(mp.log(p3_1 / p3_0) / mp.log(xi1 / xi0))
         assert -8.5 < order < -6.5, order
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 4.0, 10.0])
+def test_the_phase_root_solves_the_phase_equation_carried_to_a6(x):
+    # The float nu*, from the fifth sum, against the 50-digit root of the
+    # same equation with the same seven A_k: measured at most 1.1e-15
+    # relative for x <= 4 and 2.4e-15 at x = 10 (G n = 10).
+    for kind in FunctionKind:
+        A = asymcoeff._phase_coefficients(x, kind.family)
+        assert len(A) == 7
+        for n in (5, 10, 20, 40):
+            estimate = asymptotic_zero(kind, n, x)
+            p3, p4 = estimate.partial[3:]
+            star, size = zerofinder._phase_root(
+                A, estimate.m, estimate.lambda_, p4, max(0.025, abs(p4 - p3)))
+            with mp.workdps(50):
+                exact, _ = _mp_truncated_zero(estimate, A)
+                error = abs(mp.mpf(star) - exact) / exact
+            assert error <= 5e-15, (kind.value, n, x, float(error))
+            last = abs(A[6]) / (star ** 13 * (1.0 + math.log(
+                estimate.lambda_ * star)))
+            assert size == pytest.approx(last, rel=1e-5), (kind.value, n)
+
+
+def test_the_estimate_starts_from_nu_star_only_where_the_fifth_sum_is_coarse():
+    # nu* is sought exactly where the fifth sum's last correction is beyond
+    # the probe, and taken where it lies in the middle half of p4 -+ h. It
+    # is not taken for K n = 1 at x = 20 alone here.
+    starts, refused = 0, []
+    for kind in FunctionKind:
+        for x in (0.5, 1.0, 4.0, 20.0):
+            A = asymcoeff._phase_coefficients(x, kind.family)
+            for n in range(1, 61):
+                estimate = asymptotic_zero(kind, n, x)
+                p3, p4 = estimate.partial[3:]
+                last = abs(p4 - p3)
+                step = 2.0 * zerofinder._EPS * p4 + 0.5e-12
+                where = (kind.value, n, x)
+                if last < zerofinder._PROBE_STEPS * step:
+                    assert estimate.start is None, where
+                    continue
+                reach = 0.5 * max(0.05, 2.0 * last)
+                assert estimate.start == zerofinder._phase_root(
+                    A, estimate.m, estimate.lambda_, p4, reach), where
+                if estimate.start is None:
+                    refused.append(where)
+                    continue
+                star, size = estimate.start
+                assert abs(star - p4) < reach and size > 0.0, where
+                starts += 1
+    assert refused == [("K", 1, 20.0)]
+    assert starts >= 200
+
+
+def test_the_phase_root_gives_up_where_newton_leaves_its_reach():
+    # An A6 that overflowed, a reach too small for the first step, and a
+    # slope made negative by a huge A6 each give no root.
+    estimate = asymptotic_zero("K", 1, 1.0)
+    A = asymcoeff._phase_coefficients(1.0, "modified")
+    args = (estimate.m, estimate.lambda_, estimate.partial[-1])
+    assert zerofinder._phase_root(A, *args, 0.025) is not None
+    assert zerofinder._phase_root([*A[:6], math.inf], *args, 0.025) is None
+    assert zerofinder._phase_root(A, *args, 1e-9) is None
+    assert zerofinder._phase_root([*A[:6], 1e20], *args, 0.025) is None
+
+
+def test_a_start_outside_the_bracket_raises_before_evaluating(monkeypatch):
+    calls = _count_detection_calls(monkeypatch)
+    estimate = asymptotic_zero("L", 1, 1.0)
+    p4 = estimate.partial[-1]
+    for start in ((p4 + 1.0, 0.0), (p4 - 1.0, 0.0), (math.nan, 0.0)):
+        with pytest.raises(BracketingError, match="lies outside"):
+            refine_zero(estimate._replace(start=start))
+    assert calls == []
 
 
 def test_the_fifth_sum_lies_closer_to_the_refined_zero_than_the_fourth():
@@ -761,18 +859,21 @@ def test_an_enumeration_calls_every_traced_layer_through_its_module(
 @pytest.mark.parametrize("n", [1, 400])
 def test_an_exact_zero_at_the_estimate_is_confirmed_by_both_ends(
         n, monkeypatch):
-    # A linear detection value vanishing at the estimate; n = 400 is probed.
+    # A linear detection value vanishing at the start: nu* at n = 1, the
+    # fifth sum at n = 400, which is probed.
     estimate = asymptotic_zero("K", n, 1.0)
+    start = estimate.start[0] if n == 1 else estimate.partial[-1]
+    assert (estimate.start is None) == (n == 400)
     calls = []
 
     def linear(kind, nu, x):
         calls.append(nu)
-        return nu - estimate.partial[-1]
+        return nu - start
 
     monkeypatch.setattr(zerofinder, "detection_value", linear)
     record = refine_zero(estimate)
     lo, hi = record.bracket
-    assert record.nu_refined == estimate.partial[-1]
+    assert record.nu_refined == start
     assert lo < record.nu_refined < hi
     # Both ends were evaluated, and a linear value changes sign across them.
     assert len(calls) <= 3 and {lo, hi} <= set(calls)
@@ -984,8 +1085,8 @@ def test_zero_record_fields_are_the_documented_ones_in_order():
         "kind", "n", "x", "nu_asymptotic", "nu_refined", "discrepancy",
         "bracket", "residual", "partial")
     assert ZeroEstimate._fields == (
-        "kind", "n", "x", "m", "lambda_", "xi", "partial")
-    assert ZeroEstimate._field_defaults == {}
+        "kind", "n", "x", "m", "lambda_", "xi", "partial", "start")
+    assert ZeroEstimate._field_defaults == {"start": None}
 
 
 @pytest.mark.parametrize("kind,x,cause", [
