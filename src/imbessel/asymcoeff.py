@@ -1,15 +1,15 @@
 """Coefficient pipeline for the large-nu zero expansions.
 
 For fixed argument x the chain is chi = x^2/4 -> C_k -> a_k -> A_k -> (b_k,
-B_k). One pass per (x, family) builds it to order 14 by one route: C_0..C_13
-from the Stirling numbers of the second kind, a_0..a_13 by one Cauchy
-product with the Stirling coefficients of 1/Gamma (DLMF 5.11), and A_0..A_6
-by one log-series recurrence. The public functions and records keep the
-paper's C0..C5, a0..a5 and A0..A2; the zero finder also takes A3, for the B3
-of _fourth_correction, and A4..A6, for its phase equation. The correction
-coefficients b_k (xi-normalized) and B_k (m-normalized) solve the
-order-by-order balance of nu log(lambda nu) = m - A0/nu - A1/nu^3 - A2/nu^5
-around the leading solution xi.
+B_k). One pass per (x, family) builds it by one route: C_k from the
+Stirling numbers of the second kind, a_k by one Cauchy product with the
+Stirling coefficients of 1/Gamma (DLMF 5.11), and A_k by one log-series
+recurrence. The public functions keep the paper's C0..C5, a0..a5 and A0..A2
+of a pass to order 6; the zero finder's pass to order 14, with the same bits
+below 6, adds A3, for _fourth_correction, and A4..A6, for its phase
+equation. The correction coefficients b_k (xi-normalized) and B_k
+(m-normalized) solve the order-by-order balance of nu log(lambda nu) = m -
+A0/nu - A1/nu^3 - A2/nu^5 around the leading solution xi.
 
 The ordinary family (F, G) evaluates the C_k at -chi. All coefficients are
 n-independent, so the zero finder makes the pass once per (x, family) and
@@ -42,6 +42,7 @@ _GAMMA = (*(float(g) for g in STIRLING_COEFFICIENTS), 5246819 / 75246796800,
           -1579029138854919086429 / 9716130015581401251840000,
           -746590869962651602203151 / 116593560186976815022080000)
 _ORDER = len(_GAMMA)
+_PUBLISHED = 6  # the order of the published C0..C5, a0..a5 and A0..A2
 
 
 def _c_rows() -> tuple[tuple[int, tuple[float, ...]], ...]:
@@ -91,7 +92,7 @@ class CorrectionCoefficients(NamedTuple):
 
 def c_polynomials(chi: float) -> list[float]:
     """Evaluate the six polynomials C_0..C_5 at chi."""
-    return _c_and_a(chi, "modified")[0][:6]
+    return _c_and_a(chi, "modified", _PUBLISHED)[0]
 
 
 def a_coefficients(chi: float, family: str) -> list[float]:
@@ -101,23 +102,23 @@ def a_coefficients(chi: float, family: str) -> list[float]:
     C-series: a_k = sum_{r=0..k} gamma_r * C_{k-r}, with the C_k evaluated
     at chi for the modified family and at -chi for the ordinary one.
     """
-    return _c_and_a(chi, family)[1][:6]
+    return _c_and_a(chi, family, _PUBLISHED)[1]
 
 
-def _c_and_a(chi: float, family: str) -> tuple[list[float], list[float]]:
-    # C_0..C_13 at the family's argument c, with C_n(c) = sum_k (-1)^(n-k)
-    # S(n, k) c^k / k! = c (r_1 + c (r_2 + ... + c r_n)) / n! by Horner's
-    # rule over the row of integers r_k, and a_k = sum_r gamma_r C_{k-r}.
+def _c_and_a(chi: float, family: str, order: int) -> tuple:
+    # C_k and a_k, k < order, at the family's argument c: C_n(c) = sum_k
+    # (-1)^(n-k) S(n, k) c^k / k! = c (r_1 + c (r_2 + ... + c r_n)) / n! by
+    # Horner's rule over the row of integers r_k, a_k = sum gamma_r C_{k-r}.
     if family not in _FAMILIES:
         raise DomainError(f"family must be one of {_FAMILIES}, got {family!r}")
     c = float(chi) if family == "modified" else -float(chi)
     C = [1.0]
-    for f, row in _C_ROWS:
+    for f, row in _C_ROWS[:order - 1]:
         acc = row[0]
         for r in row[1:]:
             acc = r + c * acc
         C.append(c * acc / f)
-    return C, [sum(map(mul, _GAMMA, C[k::-1])) for k in range(_ORDER)]
+    return C, [sum(map(mul, _GAMMA, C[k::-1])) for k in range(order)]
 
 
 def A_coefficients(a: list[float]) -> list[float]:
@@ -169,7 +170,8 @@ def correction_coefficients(A: list[float], xi: float,
     B0 = -A0 / one_plus
     B1 = b1_numer / (chi_ratio ** 2 * one_plus)
     B2 = b2_numer / (chi_ratio ** 4 * one_plus)
-    return CorrectionCoefficients(xi, chi_ratio, (b0, b1, b2), (B0, B1, B2))
+    return tuple.__new__(CorrectionCoefficients,
+                         (xi, chi_ratio, (b0, b1, b2), (B0, B1, B2)))
 
 
 def _fourth_correction(A: list[float],
@@ -188,14 +190,14 @@ def _fourth_correction(A: list[float],
     return n3 / (r3 * r3 * (1.0 + r))
 
 
-def _expansion(x: float, family: str) -> tuple:
-    # The one pass for (x, family): x, chi, C_0..C_13, a_0..a_13, A_0..A_6.
-    # Only the published C_0..C_5, a_0..a_5 and A_0..A_2 must be finite.
+def _expansion(x: float, family: str, order: int = _ORDER) -> tuple:
+    # The pass for (x, family): x, chi, C_k and a_k for k < order, A_k from
+    # them. Only the published C0..C5, a0..a5 and A0..A2 must be finite.
     x = float(x)
     if not (x > 0.0):
         raise DomainError(f"coefficient_set requires x > 0, got {x!r}")
     chi = x * x / 4.0
-    C, a = _c_and_a(chi, family)
+    C, a = _c_and_a(chi, family, order)
     A = A_coefficients(a)
     if not all(map(math.isfinite, C[:6] + a[:6] + A[:3])):
         raise DomainError(
@@ -220,6 +222,5 @@ def coefficient_set(x: float, family: str) -> CoefficientSet:
     Raises DomainError for x <= 0 and for an x so large that a coefficient
     overflows a float.
     """
-    x, chi, C, a, A = _expansion(x, family)
-    return CoefficientSet(x, chi, family, tuple(C[:6]), tuple(a[:6]),
-                          tuple(A[:3]))
+    x, chi, C, a, A = _expansion(x, family, _PUBLISHED)
+    return CoefficientSet(x, chi, family, tuple(C), tuple(a), tuple(A))

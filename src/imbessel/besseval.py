@@ -236,7 +236,9 @@ def detection_value(kind: object, nu: float, x: float) -> float:
     """
     if not isinstance(kind, FunctionKind):
         kind = FunctionKind.coerce(kind)
-    return _component(kind, nu, x)
+    # _component, inline on the zero finder's hot path.
+    unit = recip_gamma_prefactor(nu, x) * series_sum(nu, x, kind.family)
+    return kind.sign * (unit.imag if kind.imaginary else unit.real)
 
 
 def eval_function(kind: object, nu: float, x: float) -> ScaledReal:

@@ -91,14 +91,9 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
     value = eval_function(kind, args.nu, args.x)
     plain = value.plain()
     if args.format == "json":
-        payload = {
-            "kind": kind.value,
-            "nu": args.nu,
-            "x": args.x,
-            "mantissa": value.mantissa,
-            "log_scale": value.log_scale,
-            "value": plain,
-        }
+        payload = {"kind": kind.value, "nu": args.nu, "x": args.x,
+                   "mantissa": value.mantissa, "log_scale": value.log_scale,
+                   "value": plain}
         out.write(json.dumps(payload) + "\n")
     else:
         plain_text = repr(plain) if plain is not None else "overflow"
@@ -201,22 +196,21 @@ def cmd_coeffs(args: argparse.Namespace, out) -> int:
         ns = range(1, _positive_int("n_max", args.n_max) + 1)
     coeffs = coefficient_set(args.x, kind.family)
     lambda_ = 2.0 / (math.e * args.x)
-    A = list(coeffs.A)
     # Every value of the dump in output order, encoded by one call of the C
     # encoder (json.dumps with indent falls back to pure Python) and filled
     # into the indent=1 layout. No value text contains ", ": numbers, NaN
     # and Infinity never do, nor do the kind letter and the family name.
     values = [kind.value, args.x, coeffs.family, coeffs.chi,
-              *coeffs.C, *coeffs.a, *A]
+              *coeffs.C, *coeffs.a, *coeffs.A]
     for n in ns:
         m = kind.m_value(n)
         xi = leading_xi(m, lambda_)
-        correction = correction_coefficients(A, xi, m)
+        correction = correction_coefficients(coeffs.A, xi, m)
         values += (n, m, xi, *correction.b, *correction.B)
     head = ('{\n "kind": %s,\n "x": %s,\n "family": %s,\n "chi": %s,\n'
             f' "C": {_json_list(1, len(coeffs.C))},\n'
             f' "a": {_json_list(1, len(coeffs.a))},\n'
-            f' "A": {_json_list(1, len(A))},\n "per_n": [\n')
+            f' "A": {_json_list(1, len(coeffs.A))},\n "per_n": [\n')
     row = ('  {\n   "n": %s,\n   "m": %s,\n   "xi": %s,\n'
            f'   "b": {_json_list(3, len(correction.b))},\n'
            f'   "B": {_json_list(3, len(correction.B))}\n  }}')

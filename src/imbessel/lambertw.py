@@ -18,7 +18,7 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = ["WResult", "lambert_w0"]
 
-_EPS = math.ulp(1.0)
+_STEP_TOL = 4.0 * math.ulp(1.0)
 _INV_E = 1.0 / math.e
 _MAX_ITER = 50
 
@@ -37,17 +37,15 @@ class WResult(NamedTuple):
 
 def _initial_guess(z: float) -> float:
     # Series start below 1/e, log asymptote above e, and a linear blend of
-    # the two endpoint guesses across the middle band where neither form is
-    # valid on its own (log log z is undefined for z <= 1).
+    # their values, lo at 1/e and 1 at e, across the middle band where
+    # neither form is valid on its own (log log z is undefined for z <= 1).
     if z < _INV_E:
         return z * (1.0 - z) + z
     if z >= math.e:
         log_z = math.log(z)
         return log_z - math.log(log_z)
     lo = _INV_E * (1.0 - _INV_E) + _INV_E
-    hi = 1.0
-    t = (z - _INV_E) / (math.e - _INV_E)
-    return lo + t * (hi - lo)
+    return lo + (z - _INV_E) / (math.e - _INV_E) * (1.0 - lo)
 
 
 def lambert_w0(z: float) -> WResult:
@@ -56,7 +54,8 @@ def lambert_w0(z: float) -> WResult:
     Terminates when the step falls below 4 * eps * (1 + |w|); raises
     DomainError for negative or non-finite z and ConvergenceError if 50
     iterations do not suffice (unreachable for valid input, kept as a guard).
-    Above z = 1e306 the iteration is Newton's on w + log w = log z.
+    Above z = 1e306 the iteration is Newton's on w + log w = log z. The
+    residual |w e^w - z| reuses the last e^w where the last step kept w.
     """
     z = float(z)
     if not (0.0 <= z < math.inf):
@@ -64,7 +63,7 @@ def lambert_w0(z: float) -> WResult:
     if z == 0.0:
         return WResult(0.0, 0.0)
 
-    w = _initial_guess(z)
+    w = last = _initial_guess(z)
     if z > _LOG_SPACE_Z:
         return _log_space_newton(z, w)
     for _ in range(_MAX_ITER):
@@ -75,13 +74,15 @@ def lambert_w0(z: float) -> WResult:
         # Halley step for f(w) = w e^w - z; w >= 0 keeps w + 1 away from 0.
         denom = ew * (w + 1.0) - f * (w + 2.0) / (2.0 * (w + 1.0))
         step = f / denom
-        w -= step
-        if abs(step) <= 4.0 * _EPS * (1.0 + abs(w)):
+        w, last = w - step, w
+        if abs(step) <= _STEP_TOL * (1.0 + abs(w)):
             break
     else:
         raise ConvergenceError(f"lambert_w0 did not converge for z = {z!r}")
-
-    return tuple.__new__(WResult, (w, abs(w * math.exp(w) - z)))
+    # f was taken at w on an exact solve, else at last, before the step.
+    if w != last:
+        f = w * math.exp(w) - z
+    return tuple.__new__(WResult, (w, abs(f)))
 
 
 def _log_space_newton(z: float, w: float) -> WResult:
@@ -92,7 +93,7 @@ def _log_space_newton(z: float, w: float) -> WResult:
     for _ in range(_MAX_ITER):
         step = (w + math.log(w) - log_z) * w / (w + 1.0)
         w -= step
-        if abs(step) <= 4.0 * _EPS * (1.0 + w):
+        if abs(step) <= _STEP_TOL * (1.0 + w):
             return WResult(w, z * abs(math.expm1(w + math.log(w) - log_z)))
     raise ConvergenceError(f"lambert_w0 did not converge for z = {z!r}")
 

@@ -42,6 +42,7 @@ __all__ = ["ZeroEstimate", "ZeroRecord", "phase", "leading_xi",
 _WIDTH = 1e-12
 
 _EPS = math.ulp(1.0)
+_HALF_PI = 0.5 * math.pi
 
 # The probe is tried when the start's size is below this many solver
 # stopping steps. It misses 41 of 7,904 tries at x = 0.5 to 4, n <= 500 (27
@@ -142,31 +143,29 @@ def _estimator(kind: FunctionKind,
     if not (x > 0.0):
         raise DomainError(f"asymptotic_zero requires x > 0, got {x!r}")
     A = _phase_coefficients(x, kind.family)
-    return lambda n: _estimate(kind, n, x, A)
+    lambda_, threshold = 2.0 / (math.e * x), max(2.0, x)
+    return lambda n: _estimate(kind, n, x, A, lambda_, threshold)
 
 
-def _estimate(kind: FunctionKind, n: int, x: float,
-              A: list[float]) -> ZeroEstimate:
+def _estimate(kind: FunctionKind, n: int, x: float, A: list[float],
+              lambda_: float, threshold: float) -> ZeroEstimate:
     # The estimate for validated arguments, from the phase coefficients
-    # A0..A6 of (x, kind.family).
+    # A0..A6 of (x, kind.family), lambda = 2 / (e x) and max(2, x).
     try:
         m = kind.m_value(n)
         m3, m5 = m ** 3, m ** 5
     except OverflowError as exc:
         raise DomainError(f"the estimate of {kind.value} n={n} x={x!r} "
                           f"overflows a float") from exc
-    lambda_ = 2.0 / (math.e * x)
     # leading_xi's checks hold: m > 0, and lambda > 0 since A3 is finite
     # only for x below about 2.5e22.
     xi = m / lambert_w0(lambda_ * m).w
-    threshold = max(2.0, x)
     if not (xi > threshold):
         raise UnreliableAsymptoticsError(xi, threshold)
 
     correction = correction_coefficients(A, xi, m)
     B0, B1, B2 = correction.B
-    p0 = xi
-    p1 = p0 + B0 / m
+    p1 = xi + B0 / m
     p2 = p1 + B1 / m3
     p3 = p2 + B2 / m5
     # m^7 may overflow to inf where m^5 does not; the term is then 0.0.
@@ -176,7 +175,7 @@ def _estimate(kind: FunctionKind, n: int, x: float,
     if last >= _PROBE_STEPS * (2.0 * _EPS * p4 + 0.5 * _WIDTH):
         start = _phase_root(A, m, lambda_, p4, max(0.025, last))
     return tuple.__new__(ZeroEstimate, (kind, n, float(x), m, lambda_, xi,
-                                        (p0, p1, p2, p3, p4), start))
+                                        (xi, p1, p2, p3, p4), start))
 
 
 def _phase_root(A: list[float], m: float, lambda_: float, nu: float,
@@ -205,7 +204,7 @@ def _inside_phase_window(lo: float, hi: float,
     # The kind's uniform phase within pi/2 of m at both ends; it increases
     # on the window, and the adjacent zeros sit a full pi away.
     psi, x, m = estimate.kind.uniform_phase, estimate.x, estimate.m
-    return m - math.pi / 2.0 < psi(lo, x) and psi(hi, x) < m + math.pi / 2.0
+    return m - _HALF_PI < psi(lo, x) and psi(hi, x) < m + _HALF_PI
 
 
 def _brent(g: Callable[[float], float], a: float, b: float, fa: float,
@@ -318,14 +317,15 @@ def refine_zero(estimate: ZeroEstimate) -> ZeroRecord:
     a sign change.
     """
     kind, n, x, _, _, _, partial, start = estimate
-    kind = FunctionKind.coerce(kind)
-    if kind is not estimate.kind:
+    if type(kind) is not FunctionKind:
+        kind = FunctionKind.coerce(kind)
         estimate = estimate._replace(kind=kind)
-    n = _positive_int("n", n)
+    if type(n) is not int or n < 1:
+        _positive_int("n", n)
 
     p = partial[-1]
     last = abs(p - partial[-2])
-    h = max(0.05, 2.0 * last)
+    h = 2.0 * last if last > 0.025 else 0.05  # max(0.05, 2 last), exactly
     if p - h == p or p + h == p:
         raise DomainError(
             f"estimate nu = {p!r} -+ {h!r} rounds onto the estimate: "
@@ -376,17 +376,17 @@ def enumerate_zeros(kind: object, x: float, n_max: int) -> list[ZeroRecord]:
     kind = FunctionKind.coerce(kind)
     _positive_int("n_max", n_max)
     records: list[ZeroRecord] = []
-    for n in range(1, n_max + 1):
-        try:
-            if n == 1:
-                estimate_of = _estimator(kind, x)
+    try:
+        estimate_of = _estimator(kind, x)
+        for n in range(1, n_max + 1):
             record = refine_zero(estimate_of(n))
             if records and record.nu_refined <= records[-1].nu_refined:
                 raise ConvergenceError(
                     f"refined zeros not strictly increasing at n = {n}")
-        except (DomainError, ConvergenceError) as exc:
-            raise EnumerationError(
-                f"enumeration of {kind.value} zeros aborted at n = {n}: "
-                f"{exc}", n, tuple(records)) from exc
-        records.append(record)
+            records.append(record)
+    except (DomainError, ConvergenceError) as exc:
+        n = len(records) + 1
+        raise EnumerationError(
+            f"enumeration of {kind.value} zeros aborted at n = {n}: "
+            f"{exc}", n, tuple(records)) from exc
     return records
