@@ -220,13 +220,6 @@ class FunctionKind(enum.Enum):
 _KINDS = {kind.value: kind for kind in FunctionKind}
 
 
-def _component(kind: FunctionKind, nu: float, x: float) -> float:
-    # kind's component of the unit value of I or J, unit_phase * series_sum.
-    unit = recip_gamma_prefactor(nu, x) * series_sum(nu, x, kind.family)
-    part = unit.imag if kind.imaginary else unit.real
-    return kind.sign * part
-
-
 def detection_value(kind: object, nu: float, x: float) -> float:
     """Sign-matched, unit-normalized value used to locate nu-zeros.
 
@@ -236,7 +229,6 @@ def detection_value(kind: object, nu: float, x: float) -> float:
     """
     if not isinstance(kind, FunctionKind):
         kind = FunctionKind.coerce(kind)
-    # _component, inline on the zero finder's hot path.
     unit = recip_gamma_prefactor(nu, x) * series_sum(nu, x, kind.family)
     return kind.sign * (unit.imag if kind.imaginary else unit.real)
 
@@ -254,4 +246,6 @@ def eval_function(kind: object, nu: float, x: float) -> ScaledReal:
             f"eval_function requires nu >= {NU_MIN!r}, got {nu!r}")
     if not (0.0 < x < math.inf):
         raise DomainError(f"eval_function requires finite x > 0, got {x!r}")
-    return _normalized(_component(kind, nu, x), kind.log_scale(nu))
+    unit = recip_gamma_prefactor(nu, x) * series_sum(nu, x, kind.family)
+    part = kind.sign * (unit.imag if kind.imaginary else unit.real)
+    return _normalized(part, kind.log_scale(nu))

@@ -7,8 +7,8 @@ run in-process through imbessel.cli.main: every command, every format, every
 --order value and the error exits. The third covers EVAL_POINTS seeded
 points (nu, x, z): eval_function and detection_value for every kind,
 series_sum for both families at +-nu, and log_gamma at z off the line
-1 + i nu, with nu from 1e-3 to 1e4 (the shift loop, eight and three
-Stirling terms) and x from 1e-2 to 40, plus the inputs in EVAL_ERRORS;
+1 + i nu, with nu from 1e-3 to 1e4 (with and without the shift loop)
+and x from 1e-2 to 40, plus the inputs in EVAL_ERRORS;
 a raised error counts by its class and message. The fourth is the first
 for x in LARGE_XS instead; a tree that cannot enumerate there raises on it
 after printing the first three.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -139,9 +140,9 @@ def test_log_gamma_is_bit_identical_to_the_looped_stirling_sum(re, im):
     assert log_gamma(z) == _log_gamma_reference(z)
 
 
-# From |z| = 100 on log_gamma sums three Stirling terms, not eight. On the
-# line z = 1 +- i nu the five it drops change no bit. |1 + i nu| is 100.0
-# from nu = 99.99499987499375 on, the float below is under it.
+# Far from the shift radius too, on the line z = 1 +- i nu that the
+# prefactor used at every order, log_gamma keeps the looped sum's bits.
+# |1 + i nu| is 100.0 from nu = 99.99499987499375 on.
 @given(st.floats(min_value=99.0, max_value=1e6),
        st.sampled_from((1.0, -1.0)))
 @example(99.99499987499374, 1.0)
@@ -150,26 +151,123 @@ def test_log_gamma_is_bit_identical_to_the_looped_stirling_sum(re, im):
 @example(99.99499987499374, -1.0)
 @example(99.99499987499375, -1.0)
 @example(99.99499987499377, -1.0)
-def test_log_gamma_three_term_tail_is_bit_identical_on_the_evaluator_line(
+def test_log_gamma_is_bit_identical_on_the_evaluator_line_from_modulus_100(
         nu, sign):
     z = complex(1.0, sign * nu)
     assert log_gamma(z) == _log_gamma_reference(z)
 
 
-# Off that line the three-term tail claims accuracy, not the same bits.
 @pytest.mark.parametrize("z", [100.0 + 0j, 150.0 + 0j, 70.0 + 80.0j,
                                0.5 + 300.0j, 1e3 + 1e3j])
-def test_log_gamma_three_term_tail_is_accurate(z):
+def test_log_gamma_is_accurate_from_modulus_100(z):
     mp.mp.dps = 30
     want = complex(mp.loggamma(mp.mpc(z.real, z.imag)))
     assert abs(log_gamma(z) - want) <= 1e-15 * abs(want)
 
 
-@given(st.floats(min_value=1e-3, max_value=1000.0),
+# Below nu = 16 the prefactor's phase comes from log_gamma, from 16 on from
+# the real Stirling series on the imaginary axis.
+_NU0 = 16.0
+_BELOW_NU0 = math.nextafter(_NU0, 0.0)
+
+
+@given(st.floats(min_value=1e-3, max_value=_BELOW_NU0),
        st.floats(min_value=1e-3, max_value=100.0))
+@example(_BELOW_NU0, 1.0)
+@example(_BELOW_NU0, 1e-3)
 def test_prefactor_is_bit_identical_to_the_complex_form(nu, x):
     w = 1j * nu * math.log(0.5 * x) - log_gamma(complex(1.0, nu))
     assert recip_gamma_prefactor(nu, x) == cmath.exp(1j * w.imag)
+
+
+def _real_phase_reference(nu, x):
+    # nu (1 + log(x/(2 nu))) - pi/4 + sum_j |B_2j| / (2j (2j-1)) nu^(1-2j),
+    # all eight terms, each Horner step looped: s = -1/nu^2 turns the signed
+    # coefficients into their moduli.
+    s = -1.0 / (nu * nu)
+    tail = _BERNOULLI_TERMS[-1]
+    for coeff in reversed(_BERNOULLI_TERMS[:-1]):
+        tail = coeff + s * tail
+    return (nu * (1.0 + math.log(0.5 * x / nu)) - 0.25 * math.pi
+            + tail / nu)
+
+
+@given(st.floats(min_value=_NU0, max_value=1e6),
+       st.floats(min_value=1e-3, max_value=100.0))
+@example(_NU0, 1.0)
+@example(9.99e153, 1e-3)
+def test_prefactor_from_16_on_is_the_real_stirling_series(nu, x):
+    want = cmath.exp(1j * _real_phase_reference(nu, x))
+    assert recip_gamma_prefactor(nu, x) == want
+
+
+def _phase_error_ratios(nu, x):
+    # The error of the unit value against mpmath, for recip_gamma_prefactor
+    # and for the complex form, in units of 2^-52 nu (1 + |log(x/(2 nu))|):
+    # the rounding of log(x/(2 nu)) carried by nu, and of the other terms.
+    nu_, x_ = mp.mpf(nu), mp.mpf(x)
+    exact = mp.expj(nu_ * mp.log(x_ / 2) - mp.loggamma(mp.mpc(1, nu_)).imag)
+    complex_form = cmath.exp(1j * (nu * math.log(0.5 * x)
+                                   - log_gamma(complex(1.0, nu)).imag))
+    unit = 2.0 ** -52 * nu * (1.0 + abs(math.log(0.5 * x) - math.log(nu)))
+    return (float(abs(recip_gamma_prefactor(nu, x) - exact)) / unit,
+            float(abs(complex_form - exact)) / unit)
+
+
+def test_prefactor_phase_is_as_accurate_as_the_complex_form():
+    # Seeded log-uniform points, nu in [16, 1e6] and x in [0.01, 100]. The
+    # complex form reaches 2.7 units on these points. At the four tiny x
+    # x / (2 nu) is subnormal or zero and the phase takes log(x/2) - log(nu).
+    mp.mp.dps = 40
+    rng = random.Random(20)
+    points = [(_NU0, 0.01), (_NU0, 100.0), (100.0, 1.0), (1e6, 0.01),
+              (1e6, 1e-305), (1e3, 1e-306), (1e20, 1e-300), (20.0, 4e-307)]
+    points += [(math.exp(rng.uniform(math.log(_NU0), math.log(1e6))),
+                math.exp(rng.uniform(math.log(0.01), math.log(100.0))))
+               for _ in range(600)]
+    worst = [0.0, 0.0]
+    for nu, x in points:
+        ratios = _phase_error_ratios(nu, x)
+        assert ratios[0] <= 2.0, (nu, x)
+        worst = [max(w, r) for w, r in zip(worst, ratios)]
+    assert worst[0] <= worst[1]
+
+
+# The first dropped term of the Stirling series times sec^(2J+2)(pi/4) =
+# 2^(J+1) bounds its remainder on the imaginary axis (DLMF 5.11(ii)). The
+# series keeps J = 8 terms; the bound is largest at nu = 16.
+@pytest.mark.parametrize("nu,terms", [(_NU0, 8), (100.0, 8), (1e3, 8)])
+def test_the_phase_series_truncation_is_inside_the_budget(nu, terms):
+    mp.mp.dps = 60
+    nu_ = mp.mpf(nu)
+    series = nu_ * mp.log(nu_) - nu_ + mp.pi / 4
+    for j in range(1, terms + 1):
+        series -= abs(mp.bernoulli(2 * j)) / (2 * j * (2 * j - 1)) \
+            * nu_ ** (1 - 2 * j)
+    remainder = mp.loggamma(mp.mpc(1, nu_)).imag - series
+    k = terms + 1
+    bound = 2 ** k * abs(mp.bernoulli(2 * k)) / (2 * k * (2 * k - 1)) \
+        * nu_ ** (1 - 2 * k)
+    assert abs(remainder) <= bound <= 1e-17
+    # The coefficients the series uses are those moduli.
+    assert [abs(c) for c in _BERNOULLI_TERMS[:terms]] == [
+        float(abs(mp.bernoulli(2 * j)) / (2 * j * (2 * j - 1)))
+        for j in range(1, terms + 1)]
+
+
+@pytest.mark.parametrize("x", [0.01, 0.1, 1.0, 2.0, 10.0, 32.0, 100.0])
+def test_the_two_phase_branches_meet_at_16(x):
+    # The jump across nu = 16 is inside the accuracy bound above.
+    jump = abs(recip_gamma_prefactor(_NU0, x)
+               - recip_gamma_prefactor(_BELOW_NU0, x))
+    assert jump <= 2.0 * 2.0 ** -52 * _NU0 * (1.0 + abs(math.log(x / 32.0)))
+
+
+@pytest.mark.parametrize("nu,x", [
+    (9.99e153, 1.0), (1e153, 1.7e308), (10.0, 1.7e308), (20.0, 1.7e308),
+    (10.0, 1e-310), (20.0, 1e-310), (1e20, 1e-300), (1e30, 1e-300)])
+def test_prefactor_is_a_unit_value_at_extreme_x(nu, x):
+    assert abs(abs(recip_gamma_prefactor(nu, x)) - 1.0) <= 1e-15
 
 
 def test_prefactor_phase_has_unit_modulus():
@@ -193,18 +291,21 @@ def test_prefactor_magnitude_grows_like_half_pi_nu():
 
 
 @pytest.mark.parametrize("nu,x", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
-                                  (1.0, -2.0)])
+                                  (1.0, -2.0), (math.nan, 1.0),
+                                  (1.0, math.nan)])
 def test_prefactor_rejects_nonpositive_arguments(nu, x):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="requires"):
         recip_gamma_prefactor(nu, x)
 
 
-# At nu = 1e306 arg Gamma(1 + i nu) overflows, and the phase with it.
-@pytest.mark.parametrize("nu,x", [(math.inf, 1.0), (1.0, math.inf),
-                                  (math.nan, 1.0), (1.0, math.nan),
-                                  (1e306, 1.0)])
+# At nu = 1e306 arg Gamma(1 + i nu) overflows, and the phase with it. Each
+# branch raises from nu = 1e154 on, at an infinite x, and where 0.5 x is
+# zero.
+@pytest.mark.parametrize("nu,x", [
+    (math.inf, 1.0), (1.0, math.inf), (20.0, math.inf), (1e154, 1.0),
+    (1e306, 1.0), (10.0, 5e-324), (20.0, 5e-324)])
 def test_prefactor_rejects_a_phase_that_is_not_finite(nu, x):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="no finite phase"):
         recip_gamma_prefactor(nu, x)
 
 

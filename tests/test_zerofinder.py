@@ -825,9 +825,14 @@ def _perfbench_spans():
 @pytest.mark.parametrize("x", [0.5, 4.0])
 @pytest.mark.parametrize("kind", list(FunctionKind))
 def test_an_enumeration_calls_every_traced_layer_through_its_module(
-        kind, x):
+        kind, x, monkeypatch):
     # The benchmark's tracer wraps each layer's module attributes; a layer
-    # fused away or called around its attribute changes these counts.
+    # fused away or called around its attribute changes these counts. The
+    # order of each evaluation is recorded under the tracer's wrapper.
+    orders = []
+    series_sum = besseval.series_sum
+    monkeypatch.setattr(besseval, "series_sum", lambda *args: orders.append(
+        args[0]) or series_sum(*args))
     spans = _perfbench_spans()
     tracer = spans.Tracer()
     tracer.install({name: importlib.import_module(f"imbessel.{name}")
@@ -844,8 +849,13 @@ def test_an_enumeration_calls_every_traced_layer_through_its_module(
     evaluations = calls["besseval.detection_value"]
     assert evaluations >= 1000
     for per_evaluation in ("cgamma.recip_gamma_prefactor",
-                           "cgamma.log_gamma", "besseval.series_sum"):
+                           "besseval.series_sum"):
         assert calls[per_evaluation] == evaluations, per_evaluation
+    # log_gamma gives the prefactor's phase below nu = 16 only.
+    assert len(orders) == evaluations
+    below = sum(nu < 16.0 for nu in orders)
+    assert 0 < below < evaluations
+    assert calls["cgamma.log_gamma"] == below
     # Each evaluation layer runs inside the one above it.
     inside = {"besseval.detection_value": "zerofinder.refine_zero",
               "besseval.series_sum": "besseval.detection_value",
