@@ -6,8 +6,8 @@ Stirling numbers of the second kind, a_k by one Cauchy product with the
 Stirling coefficients of 1/Gamma (DLMF 5.11), and A_k by one log-series
 recurrence. The public functions keep the paper's C0..C5, a0..a5 and A0..A2
 of a pass to order 6; the zero finder's pass to order 14, with the same bits
-below 6, adds A3, for _fourth_correction, and A4..A6, for its phase
-equation. The correction coefficients b_k (xi-normalized) and B_k
+below 6, adds A3..A6 for the phase equation whose root starts every zero's
+refinement. The correction coefficients b_k (xi-normalized) and B_k
 (m-normalized) solve the order-by-order balance of nu log(lambda nu) = m -
 A0/nu - A1/nu^3 - A2/nu^5 around the leading solution xi.
 
@@ -174,22 +174,6 @@ def correction_coefficients(A: list[float], xi: float,
                          (xi, chi_ratio, (b0, b1, b2), (B0, B1, B2)))
 
 
-def _fourth_correction(A: list[float],
-                       correction: CorrectionCoefficients) -> float:
-    # B3, the term B3/m^7 after B2/m^5 once - A3/nu^7 joins the balance,
-    # from A0..A3 and the b0..b2 that correction_coefficients solved:
-    # b3 = N3 / (1 + log(lambda xi)) and B3 = b3 / chi_ratio^7.
-    A0, A1, A2, A3 = A[:4]
-    b0, b1, b2 = correction.b
-    r = correction.chi_ratio
-    b00 = b0 * b0
-    n3 = (A0 * (b00 * b0 - 2.0 * b0 * b1 + b2) + A1 * (3.0 * b1 - 6.0 * b00)
-          + 5.0 * A2 * b0 - A3 - b00 * b00 / 12.0 + 0.5 * b00 * b1
-          - b0 * b2 - 0.5 * b1 * b1)
-    r3 = r * r * r
-    return n3 / (r3 * r3 * (1.0 + r))
-
-
 def _expansion(x: float, family: str, order: int = _ORDER) -> tuple:
     # The pass for (x, family): x, chi, C_k and a_k for k < order, A_k from
     # them. Only the published C0..C5, a0..a5 and A0..A2 must be finite.
@@ -207,8 +191,8 @@ def _expansion(x: float, family: str, order: int = _ORDER) -> tuple:
 
 def _phase_coefficients(x: float, family: str) -> list[float]:
     # A0..A6 of the pass, for the zero finder. A3 grows like chi^7 and leaves
-    # the floats from x ~ 2e22 on (A6 from 1e13, and then no nu* is found),
-    # before coefficient_set's limit of 1.4e31.
+    # the floats from x ~ 2e22 on (A6 from 1e13, and then Newton's method
+    # finds no nu*), before coefficient_set's limit of 1.4e31.
     x, _, _, _, A = _expansion(x, family)
     if not math.isfinite(A[3]):
         raise DomainError(

@@ -5,18 +5,17 @@ large-order phase Phi(nu) = nu * log(lambda * nu) + pi/4, lambda = 2/(e x):
 L and F vanish near Phi = (n + 1/2) pi, K and G near Phi = n pi. With m the
 kind's (n + 1/4) pi or (n - 1/4) pi (FunctionKind.m_value), the leading zero
 solves xi * log(lambda xi) = m as xi = m / W(lambda m) (Lambert W), and the
-paper's three corrections B_k / m^{2k+1} complete the estimate. A fourth,
-B3 / m^7, carries the expansion one order further; where that sum is too
-coarse to probe, refinement starts from the root nu* of the phase equation
-they expand, carried to A6. The A_k depend on x and the family only, so an
-enumeration builds them once. Phi is the nu >> x limit of the uniform
-(Debye) phase Psi (Dunster, SIAM J. Math. Anal. 21, 1990; DLMF 10.20,
-10.41), whose Psi - pi/4, FunctionKind.uniform_phase, is close to m at the
-nth zero at any x and a full pi from it at the next zeros. Refinement
-brackets the sign change of the unit-normalized value around the last sum
-with ends where Psi - pi/4 is within pi/2 of m, so the bracket can never
-leak to an adjacent zero, and closes in with Brent-Dekker's zeroin from the
-start, evaluating only the bracket end across the zero.
+paper's three corrections B_k / m^{2k+1} complete the estimate. They expand
+the root nu* of nu log(lambda nu) + sum_k A_k nu^-(2k+1) = m, which Newton's
+method solves from them, carried to A6. The A_k depend on x and the family
+only, so an enumeration builds them once. Phi is the nu >> x limit of the
+uniform (Debye) phase Psi (Dunster, SIAM J. Math. Anal. 21, 1990; DLMF
+10.20, 10.41), whose Psi - pi/4, FunctionKind.uniform_phase, is close to m
+at the nth zero at any x and a full pi from it at the next zeros.
+Refinement brackets the sign change of the unit-normalized value around
+nu* with ends where Psi - pi/4 is within pi/2 of m, so the bracket can
+never leak to an adjacent zero, and closes in with Brent-Dekker's zeroin
+from nu*, evaluating only the bracket end across the zero.
 
 ZeroEstimate and ZeroRecord, like every record of the package, are immutable
 typing.NamedTuples: a record unpacks, indexes and compares as the plain
@@ -28,8 +27,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .asymcoeff import (_fourth_correction, _phase_coefficients,
-                        correction_coefficients)
+from .asymcoeff import _phase_coefficients, correction_coefficients
 from .besseval import FunctionKind, ScaledReal, _normalized, detection_value
 from .errors import (BracketingError, ConvergenceError, DomainError,
                      EnumerationError, UnreliableAsymptoticsError)
@@ -44,19 +42,19 @@ _WIDTH = 1e-12
 _EPS = math.ulp(1.0)
 _HALF_PI = 0.5 * math.pi
 
-# The probe is tried when the start's size is below this many solver
-# stopping steps. It misses 41 of 7,904 tries at x = 0.5 to 4, n <= 500 (27
-# from nu*, the first at 2.3 steps: K n = 6, x = 0.5), 77 of 5,616 at 10-30.
+# The probe is tried when nu*'s size is below this many solver stopping
+# steps. It misses 27 of 7,904 tries at x = 0.5 to 4, n <= 500, and 79 of
+# 5,616 at x = 10 to 30.
 _PROBE_STEPS = 100.0
 
 
 class ZeroEstimate(NamedTuple):
     """Asymptotic estimate data for one zero.
 
-    partial holds the cumulative sums xi, xi + B0/m, xi + B0/m + B1/m^3,
-    the paper's three-correction value nu, and nu + B3/m^7. start is None to
-    start refinement there, or (nu*, size): the phase equation's root and
-    its last term |A6| nu*^-13 / (1 + log(lambda nu*)), which gates the probe.
+    partial holds the cumulative sums xi, xi + B0/m, xi + B0/m + B1/m^3 and
+    the paper's three-correction value nu, then nu*, the root of the phase
+    equation they expand, where refinement starts; size is its last term
+    |A6| nu*^-13 / (1 + log(lambda nu*)), which sizes h and gates the probe.
     """
 
     kind: FunctionKind
@@ -66,7 +64,7 @@ class ZeroEstimate(NamedTuple):
     lambda_: float
     xi: float
     partial: tuple[float, float, float, float, float]
-    start: tuple[float, float] | None = None
+    size: float
 
     @property
     def nu(self) -> float:
@@ -85,7 +83,7 @@ class ZeroRecord(NamedTuple):
     reuses the solver's detection value; where the probe stage confirmed the
     zero the bracket is one solver stopping step wide, under 1e-12.
     nu_asymptotic is the three-correction estimate partial[3], and partial
-    carries the estimate's five cumulative sums.
+    carries the estimate's four cumulative sums and nu*.
     """
 
     kind: FunctionKind
@@ -119,10 +117,11 @@ def leading_xi(m: float, lambda_: float) -> float:
 def asymptotic_zero(kind: object, n: int, x: float) -> ZeroEstimate:
     """The three-correction asymptotic estimate of the nth nu-zero.
 
-    All five partial sums are computed; `nu` is the fourth, the paper's
-    estimate, and the fifth adds the next correction. Raises
-    UnreliableAsymptoticsError when the leading term xi fails the validity
-    guard xi > max(2, x).
+    All four partial sums are computed; `nu` is the fourth, the paper's
+    estimate, and partial[4] is the phase equation's root nu* from it.
+    Raises UnreliableAsymptoticsError when the leading term xi fails the
+    validity guard xi > max(2, x), and ConvergenceError when Newton's
+    method does not find nu*.
     """
     kind = FunctionKind.coerce(kind)
     _positive_int("n", n)
@@ -138,19 +137,21 @@ def _positive_int(name: str, value: object) -> int:
 
 def _estimator(kind: FunctionKind,
                x: float) -> Callable[[int], ZeroEstimate]:
-    # Validate x and build the phase coefficients A0..A6 in one pass; the
+    # Validate x and build the phase coefficients A0..A6 in one pass, with
+    # the pairs (A_k, (2k + 1) A_k) from k = 6 down for Newton's method; the
     # returned function gives the estimate of the nth zero from them.
     if not (x > 0.0):
         raise DomainError(f"asymptotic_zero requires x > 0, got {x!r}")
     A = _phase_coefficients(x, kind.family)
+    terms = [(a, (2 * k + 1) * a) for k, a in enumerate(A)][::-1]
     lambda_, threshold = 2.0 / (math.e * x), max(2.0, x)
-    return lambda n: _estimate(kind, n, x, A, lambda_, threshold)
+    return lambda n: _estimate(kind, n, x, A, terms, lambda_, threshold)
 
 
 def _estimate(kind: FunctionKind, n: int, x: float, A: list[float],
-              lambda_: float, threshold: float) -> ZeroEstimate:
+              terms: list, lambda_: float, threshold: float) -> ZeroEstimate:
     # The estimate for validated arguments, from the phase coefficients
-    # A0..A6 of (x, kind.family), lambda = 2 / (e x) and max(2, x).
+    # A0..A6 of (x, kind.family), their pairs, lambda = 2 / (e x), max(2, x).
     try:
         m = kind.m_value(n)
         m3, m5 = m ** 3, m ** 5
@@ -168,35 +169,31 @@ def _estimate(kind: FunctionKind, n: int, x: float, A: list[float],
     p1 = xi + B0 / m
     p2 = p1 + B1 / m3
     p3 = p2 + B2 / m5
-    # m^7 may overflow to inf where m^5 does not; the term is then 0.0.
-    p4 = p3 + _fourth_correction(A, correction) / (m5 * (m * m))
-    # nu* where p4 is too coarse to probe, if in the middle half of p4 -+ h.
-    last, start = abs(p4 - p3), None
-    if last >= _PROBE_STEPS * (2.0 * _EPS * p4 + 0.5 * _WIDTH):
-        start = _phase_root(A, m, lambda_, p4, max(0.025, last))
+    star, size = _phase_root(terms, m, lambda_, p3)
     return tuple.__new__(ZeroEstimate, (kind, n, float(x), m, lambda_, xi,
-                                        (xi, p1, p2, p3, p4), start))
+                                        (xi, p1, p2, p3, star), size))
 
 
-def _phase_root(A: list[float], m: float, lambda_: float, nu: float,
-                reach: float) -> tuple[float, float] | None:
+def _phase_root(terms: list, m: float, lambda_: float,
+                nu: float) -> tuple[float, float]:
     # (nu*, its last term's size) by Newton from nu on nu log(lambda nu) +
-    # sum_{k<=6} A_k nu^-(2k+1) = m (Horner in 1/nu^2) until a step is at most
-    # 1e-7 nu; None once an iterate leaves nu -+ reach, or after 8 steps.
-    lo, hi = max(0.0, nu - reach), nu + reach
+    # sum_{k<=6} A_k nu^-(2k+1) = m, Horner in 1/nu^2 over the pairs, until
+    # a step is at most 1e-7 nu; ConvergenceError where the slope or an
+    # iterate is not positive, or after 8 steps.
     for _ in range(8):
         t, s, ds = 1.0 / (nu * nu), 0.0, 0.0
-        for k in range(6, -1, -1):
-            s, ds = s * t + A[k], ds * t + (2 * k + 1) * A[k]
+        for a, da in terms:
+            s, ds = s * t + a, ds * t + da
         lg = math.log(lambda_ * nu)
         slope = lg + 1.0 - ds * t
         step = (nu * lg + s / nu - m) / slope if slope > 0.0 else math.nan
         nu -= step
-        if not lo < nu < hi:
-            return None
+        if not nu > 0.0:
+            break
         if abs(step) <= 1e-7 * nu:
-            return nu, abs(A[6]) * t ** 6 / ((nu + step) * (1.0 + lg))
-    return None
+            return nu, abs(terms[0][0]) * t ** 6 / ((nu + step) * (1.0 + lg))
+    raise ConvergenceError(f"Newton's method finds no root of the phase "
+                           f"equation for m = {m!r}, lambda = {lambda_!r}")
 
 
 def _inside_phase_window(lo: float, hi: float,
@@ -296,52 +293,46 @@ def refine_zero(estimate: ZeroEstimate) -> ZeroRecord:
     """Refine an asymptotic estimate to a machine-accurate zero.
 
     The estimate names the zero: its kind, n and x are the request. Brackets
-    the unit-normalized detection value g in p -+ h around the estimate's
-    last partial sum p, h seeded by the last correction term, the last sum
-    less the one before it, whose ends must keep the kind's uniform phase
-    within pi/2 of m, the zero's phase window, and starts from the
-    estimate's start nu_hat, inside p -+ h. Just above the nth zero g has
-    the sign -kind.sign * (-1)**n, so g(nu_hat) tells which end lies across
-    the zero, and only that end is evaluated; a Brent-Dekker solver then
-    starts from nu_hat on that half bracket and runs until its bracket is at
-    most _WIDTH = 1e-12 (plus a few ulps) wide. At most two brackets are
-    tried: one solver stopping step wide, if the start's size is below
-    _PROBE_STEPS of them, then p -+ h. An estimate where g is exactly 0.0 is
-    the zero once both ends of a bracket change sign. The zero returned is
-    the solver's best evaluated point, whose residual costs no evaluation.
-    Raises DomainError for an estimate whose n is not a positive integer,
-    when p -+ h rounds onto p, past the float resolution, or when p - h <= 0,
-    and BracketingError, which signals an invalid estimate or one too far
-    from its zero for h, when p -+ h leaves the phase window or does not
-    hold nu_hat, both before any evaluation, and when neither bracket shows
-    a sign change.
+    the unit-normalized detection value g in nu* -+ h around the estimate's
+    last partial sum nu*, with h = max(0.05, 2 size), whose ends must keep
+    the kind's uniform phase within pi/2 of m, the zero's phase window. Just
+    above the nth zero g has the sign -kind.sign * (-1)**n, so g(nu*) tells
+    which end lies across the zero, and only that end is evaluated; a
+    Brent-Dekker solver then starts from nu* on that half bracket and runs
+    until its bracket is at most _WIDTH = 1e-12 (plus a few ulps) wide. At
+    most two brackets are tried: one solver stopping step wide, if the
+    estimate's size is below _PROBE_STEPS of them, then nu* -+ h. An
+    estimate where g is exactly 0.0 is the zero once both ends of a bracket
+    change sign. The zero returned is the solver's best evaluated point,
+    whose residual costs no evaluation. Raises DomainError for an estimate
+    whose n is not a positive integer, when nu* -+ h rounds onto nu*, past
+    the float resolution, or when nu* - h <= 0, and BracketingError, which
+    signals an invalid estimate or one too far from its zero for h, when
+    nu* -+ h leaves the phase window, before any evaluation, and when
+    neither bracket shows a sign change.
     """
-    kind, n, x, _, _, _, partial, start = estimate
+    kind, n, x, _, _, _, partial, size = estimate
     if type(kind) is not FunctionKind:
         kind = FunctionKind.coerce(kind)
         estimate = estimate._replace(kind=kind)
     if type(n) is not int or n < 1:
         _positive_int("n", n)
 
-    p = partial[-1]
-    last = abs(p - partial[-2])
-    h = 2.0 * last if last > 0.025 else 0.05  # max(0.05, 2 last), exactly
-    if p - h == p or p + h == p:
+    nu_hat = partial[-1]
+    h = 2.0 * size if size > 0.025 else 0.05  # max(0.05, 2 size), exactly
+    if nu_hat - h == nu_hat or nu_hat + h == nu_hat:
         raise DomainError(
-            f"estimate nu = {p!r} -+ {h!r} rounds onto the estimate: "
+            f"estimate nu = {nu_hat!r} -+ {h!r} rounds onto the estimate: "
             f"{kind.value} n={n} x={x!r} is past the float resolution")
-    lo, hi = p - h, p + h
+    lo, hi = nu_hat - h, nu_hat + h
     if not lo > 0.0:
-        raise DomainError(f"estimate nu = {p!r} -+ {h!r} reaches "
+        raise DomainError(f"estimate nu = {nu_hat!r} -+ {h!r} reaches "
                           f"nu <= 0: {kind.value} n={n} x={x!r}")
     # A bracket that leaves the window may hold another zero than this one.
     if not _inside_phase_window(lo, hi, estimate):
         raise BracketingError(
-            f"estimate nu = {p!r} -+ {h!r} leaves the phase window "
+            f"estimate nu = {nu_hat!r} -+ {h!r} leaves the phase window "
             f"of {kind.value} n={n} x={x!r}", (lo, hi))
-    nu_hat, size = start or (p, last)
-    if not lo < nu_hat < hi:
-        raise BracketingError(f"start {nu_hat!r} lies outside", (lo, hi))
     g_hat = detection_value(kind, nu_hat, x)
     sign_above = _sign_above(kind, n)
     # The solver's stopping step: a sign change there ends _brent at once.

@@ -353,13 +353,13 @@ def test_the_stirling_number_form_gives_the_c_polynomials():
     (45.0, 10, 6), (50.0, 9, 6)])
 def test_the_phase_coefficients_match_exact_arithmetic(x, family, digits,
                                                        digits_4_6):
-    # The pass's A0..A6 against the exact log-series coefficients: A3 for
-    # the fourth correction after the published A0..A2, and A4..A6 for the
-    # phase equation. The terms cancel more as x grows. The worst relative
-    # error over both families, A0..A3, is 1.1e-15 for x <= 4, 1.3e-14 at
-    # x = 8, 2.4e-14 at 10, 9.3e-13 at 20, 9.4e-12 at 30, 2.9e-11 at 45 and
-    # 5.0e-10 at 50; A4..A6, 6.6e-16 for x <= 4, 9.5e-15 at 8, 4.9e-14 at
-    # 10, 8.8e-12 at 20, 7.0e-10 at 30, 1.1e-7 at 45 and 6.4e-7 at 50.
+    # The pass's A0..A6 against the exact log-series coefficients: the
+    # published A0..A2, and A3..A6 for the phase equation. The terms cancel
+    # more as x grows. The worst relative error over both families, A0..A3,
+    # is 1.1e-15 for x <= 4, 1.3e-14 at x = 8, 2.4e-14 at 10, 9.3e-13 at 20,
+    # 9.4e-12 at 30, 2.9e-11 at 45 and 5.0e-10 at 50; A4..A6, 6.6e-16 for
+    # x <= 4, 9.5e-15 at 8, 4.9e-14 at 10, 8.8e-12 at 20, 7.0e-10 at 30,
+    # 1.1e-7 at 45 and 6.4e-7 at 50.
     coeffs = coefficient_set(x, family)
     chi = Fraction(coeffs.chi) * (1 if family == "modified" else -1)
     exact = _exact_phase_coefficients(chi)

@@ -13,8 +13,9 @@ import re
 import mpmath as mp
 import pytest
 
-from imbessel import (BracketingError, DomainError, EnumerationError,
-                      FunctionKind, UnreliableAsymptoticsError, ZeroEstimate,
+from imbessel import (BracketingError, ConvergenceError, DomainError,
+                      EnumerationError, FunctionKind,
+                      UnreliableAsymptoticsError, ZeroEstimate,
                       asymptotic_zero, coefficient_set,
                       correction_coefficients, detection_value,
                       enumerate_zeros, eval_function, lambert_w0,
@@ -24,6 +25,7 @@ import imbessel
 import imbessel.asymcoeff as asymcoeff
 import imbessel.besseval as besseval
 import imbessel.zerofinder as zerofinder
+from imbessel.cli import main
 
 from golden import NS, TABLE_ASYMPTOTIC, dp6, fnum
 
@@ -114,11 +116,19 @@ def test_estimate_partial_sums_are_cumulative(estimates_x1):
             running = running + B[k] / m ** (2 * k + 1)
             assert estimate.partial[k + 1] == running, f"{kind} n={n} k={k}"
         assert estimate.nu == estimate.partial[3]
+        # partial[4] is nu*, the root of the phase equation carried to A6
+        # (to Newton's last step, 1e-7 nu, squared), and size its last term.
         A = asymcoeff._phase_coefficients(1.0, fk.family)
         assert A[:3] == list(coefficient_set(1.0, fk.family).A)
-        B3 = asymcoeff._fourth_correction(A, correction_coefficients(
-            A, estimate.xi, m))
-        assert estimate.partial[4] == running + B3 / (m ** 5 * (m * m))
+        star, lambda_ = estimate.partial[4], estimate.lambda_
+        with mp.workdps(30):
+            nu = mp.mpf(star)
+            equation = nu * mp.log(lambda_ * nu) - m + sum(
+                mp.mpf(a) / nu ** (2 * k + 1) for k, a in enumerate(A))
+            slope = mp.log(lambda_ * nu) + 1
+            assert abs(equation / slope) <= 1e-14 * star, f"{kind} n={n}"
+        last = abs(A[6]) / (star ** 13 * (1.0 + math.log(lambda_ * star)))
+        assert estimate.size == pytest.approx(last, rel=1e-5), f"{kind} n={n}"
         xi = estimate.xi
         assert abs(xi * math.log(estimate.lambda_ * xi) - m) <= 1e-12 * m
 
@@ -205,7 +215,7 @@ def test_refine_zero_rejects_estimates_outside_the_phase_window():
     kind = FunctionKind.K
     real = asymptotic_zero(kind, 1, 1.0)
     bogus = ZeroEstimate(kind, 1, 1.0, real.m, real.lambda_, 20.0,
-                         (20.0, 20.0, 20.0, 20.0))
+                         (20.0, 20.0, 20.0, 20.0), 0.0)
     with pytest.raises(BracketingError) as info:
         refine_zero(bogus)
     assert "phase window" in str(info.value)
@@ -251,17 +261,16 @@ def test_refine_zero_starts_the_solver_at_the_estimate(kind, x, monkeypatch):
 
 
 def test_a_four_sum_estimate_refines_from_its_last_sum(monkeypatch):
-    # An estimate built by hand with the paper's four sums and no start of
-    # its own starts from partial[3], and its +-h stage keeps
-    # h = max(0.05, 2 |p3 - p2|).
+    # An estimate built by hand with the paper's four sums and no nu*
+    # starts from its last sum partial[3], and its +-h stage keeps
+    # h = max(0.05, 2 size).
     calls = _count_detection_calls(monkeypatch)
     for kind in FunctionKind:
         estimate = asymptotic_zero(kind, 1, 1.0)
-        assert estimate.start is not None, kind
         p = estimate.partial[:4]
         calls.clear()
-        record = refine_zero(estimate._replace(partial=p, start=None))
-        h = max(0.05, 2.0 * abs(p[3] - p[2]))
+        record = refine_zero(estimate._replace(partial=p))
+        h = max(0.05, 2.0 * estimate.size)
         assert calls[0][1] == p[3], kind
         assert calls[1][1] in (p[3] - h, p[3] + h), kind
         assert record.partial == p, kind
@@ -315,9 +324,8 @@ def test_the_bracket_end_above_each_zero_has_the_predicted_sign(
 
 def test_refinement_averages_at_most_2_06_detection_evaluations(
         refined_to_500):
-    # Measured at 2.045 (2.153 when every zero started from the fifth sum,
-    # 2.448 from the paper's three-correction sum); the residual adds no
-    # evaluation to these.
+    # Measured at 2.0405 (2.448 from the paper's three-correction sum); the
+    # residual adds no evaluation to these.
     counts = [count for (_, x), rows in refined_to_500.items() if x <= 4.0
               for _, count in rows]
     assert len(counts) == 8000
@@ -326,10 +334,8 @@ def test_refinement_averages_at_most_2_06_detection_evaluations(
 
 def test_the_probe_costs_nothing_where_the_estimate_is_coarse(
         refined_to_500):
-    # At x = 1, n <= 50 the fifth sum is close enough to probe from n = 23
-    # to 28 on; below that refinement starts from nu*, which is probed from
-    # n = 5 to 7 on. The sum is 470 evaluations (2.35 a zero), against 612
-    # from the fifth sum alone and 880 for the +-h stage alone.
+    # At x = 1, n <= 50 nu* is probed from n = 5 to 7 on. The sum is 470
+    # evaluations (2.35 a zero), against 880 for the +-h stage alone.
     counts = [count for kind in FunctionKind
               for record, count in refined_to_500[kind, 1.0]
               if record.n <= 50]
@@ -341,9 +347,7 @@ def test_the_probe_costs_nothing_where_the_estimate_is_coarse(
                                      (30.0, 2.35)])
 def test_large_x_refinement_averages_few_detection_evaluations(
         x, bound, monkeypatch):
-    # Every kind, n <= 500: measured 2.103, 2.203 and 2.2825 per zero
-    # (2.6075, 3.383 and 4.1525 when every zero started from the fifth sum,
-    # whose fourth correction is too coarse to probe there).
+    # Every kind, n <= 500: measured 2.103, 2.2 and 2.281 per zero.
     calls = _count_detection_calls(monkeypatch)
     counts = []
     for kind in FunctionKind:
@@ -393,8 +397,7 @@ def _refined_at_most_x4(refined_to_500):
 
 
 def test_the_probe_changes_no_zero(refined_to_500, monkeypatch):
-    # The same estimates, so the same starts, refined with no probe. The
-    # estimates are made first: their start depends on _PROBE_STEPS.
+    # The same estimates, so the same starts, refined with no probe.
     rows = _refined_at_most_x4(refined_to_500)
     assert len(rows) == 8000
     estimates = [asymptotic_zero(kind, record.n, x)
@@ -498,7 +501,7 @@ def test_the_phase_window_edge_is_where_the_uniform_phase_is_m_pm_half_pi(
         x, n = rng.uniform(0.3, 30.0), rng.randint(1, 200)
         m = kind.m_value(n)
         estimate = ZeroEstimate(kind, n, x, m, 2.0 / (math.e * x), 1.0,
-                                (1.0, 1.0, 1.0, 1.0))
+                                (1.0, 1.0, 1.0, 1.0), 0.0)
         # A point in the window, where the phase crosses m, and points below
         # and above the window: at 0.5 x the phase is 0.0 (L, K) or < 0.
         middle = _flip(x + 3.0 * m, x, lambda nu: kind.uniform_phase(nu, x)
@@ -523,21 +526,21 @@ def test_the_phase_window_edge_is_where_the_uniform_phase_is_m_pm_half_pi(
                         lo, hi, estimate) is False
 
 
-# README's domain of enumeration, n = 1..500: every kind on the grid, L and
-# F also at x = 0.3 and 0.4, and L, F and G also at x = 40 and 45.
+# README's domain of enumeration, n = 1..500: every kind on the grid, and L
+# and F also at x = 0.3 and 0.4.
 _ENUMERATION_GRID = (0.5, 0.7, 1.0, 1.5, 2.0, *map(float, range(3, 13)),
-                     14.0, 16.0, 18.0, 20.0, 25.0, 30.0, 35.0)
+                     14.0, 16.0, 18.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0,
+                     50.0, 55.0, 60.0)
 _ENUMERATION_DOMAIN = (
     [(kind, x) for kind in FunctionKind for x in _ENUMERATION_GRID]
-    + [(FunctionKind.coerce(kind), x) for kind in "LF" for x in (0.3, 0.4)]
-    + [(FunctionKind.coerce(kind), x) for kind in "LFG" for x in (40.0, 45.0)])
+    + [(FunctionKind.coerce(kind), x) for kind in "LF" for x in (0.3, 0.4)])
 
 
 @pytest.mark.parametrize("kind,x", _ENUMERATION_DOMAIN)
 def test_the_uniform_phase_labels_every_record(kind, x):
     # Each refined zero sits within pi/16 of its m in the uniform phase, at
     # worst 0.0145 pi (K, x = 0.5, n = 1), and both bracket ends inside the
-    # pi/2 window the guard checks, at worst 0.294 pi (G, x = 45, n = 1).
+    # pi/2 window the guard checks, at worst 0.060 pi (L, x = 0.4, n = 5).
     # The windows of adjacent n are disjoint, so the guard is the label.
     records = enumerate_zeros(kind, x, 500)
     assert len(records) == 500
@@ -562,26 +565,13 @@ def _mp_changes_sign(kind, lo, hi, x):
         return (values[0] < 0) != (values[1] < 0)
 
 
-@pytest.mark.parametrize("x", [10.0, 20.0, 30.0])
+@pytest.mark.parametrize("x", [10.0, 20.0, 30.0, 35.0, 40.0, 45.0, 50.0,
+                               55.0, 60.0])
 @pytest.mark.parametrize("kind", list(FunctionKind))
 def test_large_x_zeros_enumerate_and_match_mpmath(kind, x):
     # The uniform phase window holds every zero n <= 500 at these x, where
-    # the large-order phase refused L and K n = 1 from x = 10.
-    records = enumerate_zeros(kind, x, 500)
-    assert len(records) == 500
-    for n in (1, 2, 10, 50):
-        nu = records[n - 1].nu_refined
-        assert _mp_changes_sign(kind, nu * (1.0 - 1e-13), nu * (1.0 + 1e-13),
-                                x), (kind.value, n, x, nu)
-
-
-@pytest.mark.parametrize("kind,x", [("G", 35.0), ("F", 40.0), ("G", 40.0),
-                                    ("L", 45.0), ("F", 45.0), ("G", 45.0)])
-def test_zeros_the_fourth_correction_admits_at_large_x_match_mpmath(kind, x):
-    # Started from the paper's three-correction sum, n = 1 here had a
-    # half-width h of 1.2 to 1.7, which left the phase window; the fourth
-    # correction gives an h of 0.60 to 0.93.
-    kind = FunctionKind.coerce(kind)
+    # the large-order phase refused L and K n = 1 from x = 10. From x = 35
+    # to 60, n = 1 has the 0.05 floor as its half-width h.
     records = enumerate_zeros(kind, x, 500)
     assert len(records) == 500
     for n in (1, 2, 10, 50):
@@ -592,9 +582,8 @@ def test_zeros_the_fourth_correction_admits_at_large_x_match_mpmath(kind, x):
 
 def _mp_truncated_zero(estimate, A):
     # The root near the estimate of nu log(lambda nu) = m - sum_k A_k /
-    # nu^(2k+1) over the given A (A0..A3 is the balance the four
-    # corrections expand), at the working precision, and the root xi of
-    # the balance without the A_k.
+    # nu^(2k+1) over the given A, at the working precision, and the root xi
+    # of the balance without the A_k.
     m, lambda_ = mp.mpf(estimate.m), 2 / (mp.e * mp.mpf(estimate.x))
     star = mp.findroot(lambda nu: nu * mp.log(lambda_ * nu) - m + sum(
         mp.mpf(a) / nu ** (2 * k + 1) for k, a in enumerate(A)),
@@ -606,13 +595,12 @@ def _mp_truncated_zero(estimate, A):
 
 @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 4.0])
 @pytest.mark.parametrize("kind", list(FunctionKind))
-def test_the_fourth_correction_raises_the_order_of_the_estimate(kind, x):
-    # Against the exact root nu* of the truncated balance (50 digits), the
-    # three-correction sum errs like xi^-7: exponents -7.20 to -7.95 over
-    # n = 10, 20 and 40, off -7 by slowly varying factors of log(lambda
-    # xi). The fourth correction removes that term and leaves the xi^-9 of
-    # the next: |p4 - nu*| xi^2 / |p3 - nu*| is at most 14.4 (x = 4). The
-    # sums are formed from the exact xi, so float rounding stays far below.
+def test_the_three_correction_sum_errs_like_xi_to_the_minus_7(kind, x):
+    # Against the exact root of the balance the three corrections expand,
+    # carried one order further to A3 (50 digits), the paper's sum errs like
+    # xi^-7: exponents -7.20 to -7.95 over n = 10, 20 and 40, off -7 by
+    # slowly varying factors of log(lambda xi). The sum is formed from the
+    # exact xi, so float rounding stays far below.
     A = asymcoeff._phase_coefficients(x, kind.family)
     assert A[:3] == list(coefficient_set(x, kind.family).A)
     errors = []
@@ -620,15 +608,10 @@ def test_the_fourth_correction_raises_the_order_of_the_estimate(kind, x):
         for n in (10, 20, 40):
             estimate = asymptotic_zero(kind, n, x)
             star, xi = _mp_truncated_zero(estimate, A[:4])
-            correction = correction_coefficients(A, estimate.xi, estimate.m)
-            B = [*correction.B, asymcoeff._fourth_correction(A, correction)]
-            sums = [xi]
-            for k, b in enumerate(B):
-                sums.append(sums[-1] + mp.mpf(b) / mp.mpf(estimate.m) ** (
-                    2 * k + 1))
-            p3, p4 = abs(sums[3] - star), abs(sums[4] - star)
-            assert p4 * xi ** 2 <= 20 * p3, (n, p3, p4)
-            errors.append((xi, p3))
+            B = correction_coefficients(A, estimate.xi, estimate.m).B
+            p3 = xi + sum(mp.mpf(b) / mp.mpf(estimate.m) ** (2 * k + 1)
+                          for k, b in enumerate(B))
+            errors.append((xi, abs(p3 - star)))
     for (xi0, p3_0), (xi1, p3_1) in zip(errors, errors[1:]):
         order = float(mp.log(p3_1 / p3_0) / mp.log(xi1 / xi0))
         assert -8.5 < order < -6.5, order
@@ -636,90 +619,89 @@ def test_the_fourth_correction_raises_the_order_of_the_estimate(kind, x):
 
 @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 4.0, 10.0])
 def test_the_phase_root_solves_the_phase_equation_carried_to_a6(x):
-    # The float nu*, from the fifth sum, against the 50-digit root of the
-    # same equation with the same seven A_k: measured at most 1.1e-15
-    # relative for x <= 4 and 2.4e-15 at x = 10 (G n = 10).
+    # The estimate's nu*, by Newton from the paper's sum, against the
+    # 50-digit root of the same equation with the same seven A_k: measured
+    # at most 1.8e-15 relative for x <= 4 (G n = 1, x = 4) and 3.9e-16 at
+    # x = 10. size is its last term at nu*, up to Newton's last step.
     for kind in FunctionKind:
         A = asymcoeff._phase_coefficients(x, kind.family)
         assert len(A) == 7
-        for n in (5, 10, 20, 40):
+        for n in (1, 2, 5, 10, 20, 40):
             estimate = asymptotic_zero(kind, n, x)
-            p3, p4 = estimate.partial[3:]
-            star, size = zerofinder._phase_root(
-                A, estimate.m, estimate.lambda_, p4, max(0.025, abs(p4 - p3)))
+            star = estimate.partial[4]
             with mp.workdps(50):
                 exact, _ = _mp_truncated_zero(estimate, A)
                 error = abs(mp.mpf(star) - exact) / exact
             assert error <= 5e-15, (kind.value, n, x, float(error))
             last = abs(A[6]) / (star ** 13 * (1.0 + math.log(
                 estimate.lambda_ * star)))
-            assert size == pytest.approx(last, rel=1e-5), (kind.value, n)
+            assert estimate.size == pytest.approx(last, rel=1e-5), \
+                (kind.value, n)
 
 
-def test_the_estimate_starts_from_nu_star_only_where_the_fifth_sum_is_coarse():
-    # nu* is sought exactly where the fifth sum's last correction is beyond
-    # the probe, and taken where it lies in the middle half of p4 -+ h. It
-    # is not taken for K n = 1 at x = 20 alone here.
-    starts, refused = 0, []
+def _pairs(A):
+    # The (A_k, (2k + 1) A_k) pairs from k = 6 down that Newton's method
+    # sums, as an enumeration builds them once.
+    return [(a, (2 * k + 1) * a) for k, a in enumerate(A)][::-1]
+
+
+def test_every_estimate_starts_from_nu_star_solved_from_the_paper_sum():
+    # nu* and its size are the Newton solve from partial[3] for every zero
+    # here, K n = 1 at x = 20 included.
     for kind in FunctionKind:
         for x in (0.5, 1.0, 4.0, 20.0):
-            A = asymcoeff._phase_coefficients(x, kind.family)
+            pairs = _pairs(asymcoeff._phase_coefficients(x, kind.family))
             for n in range(1, 61):
                 estimate = asymptotic_zero(kind, n, x)
-                p3, p4 = estimate.partial[3:]
-                last = abs(p4 - p3)
-                step = 2.0 * zerofinder._EPS * p4 + 0.5e-12
+                star, size = zerofinder._phase_root(
+                    pairs, estimate.m, estimate.lambda_, estimate.partial[3])
                 where = (kind.value, n, x)
-                if last < zerofinder._PROBE_STEPS * step:
-                    assert estimate.start is None, where
-                    continue
-                reach = 0.5 * max(0.05, 2.0 * last)
-                assert estimate.start == zerofinder._phase_root(
-                    A, estimate.m, estimate.lambda_, p4, reach), where
-                if estimate.start is None:
-                    refused.append(where)
-                    continue
-                star, size = estimate.start
-                assert abs(star - p4) < reach and size > 0.0, where
-                starts += 1
-    assert refused == [("K", 1, 20.0)]
-    assert starts >= 200
+                assert estimate.partial[4] == star, where
+                assert estimate.size == size > 0.0, where
 
 
-def test_the_phase_root_gives_up_where_newton_leaves_its_reach():
-    # An A6 that overflowed, a reach too small for the first step, and a
-    # slope made negative by a huge A6 each give no root.
+def test_the_phase_root_raises_where_newton_does_not_converge(monkeypatch,
+                                                             capsys):
+    # An A6 that overflowed, a slope made negative by a huge A6, and a start
+    # too far out for 8 steps each raise ConvergenceError, with no fallback
+    # to the paper's sum: asymptotic_zero raises it, an enumeration aborts
+    # on it, and the CLI exits 3.
     estimate = asymptotic_zero("K", 1, 1.0)
     A = asymcoeff._phase_coefficients(1.0, "modified")
-    args = (estimate.m, estimate.lambda_, estimate.partial[-1])
-    assert zerofinder._phase_root(A, *args, 0.025) is not None
-    assert zerofinder._phase_root([*A[:6], math.inf], *args, 0.025) is None
-    assert zerofinder._phase_root(A, *args, 1e-9) is None
-    assert zerofinder._phase_root([*A[:6], 1e20], *args, 0.025) is None
+    pairs = _pairs(A)
+    args = (estimate.m, estimate.lambda_)
+    assert zerofinder._phase_root(pairs, *args, estimate.partial[3]) == (
+        estimate.partial[4], estimate.size)
+    for a6 in (math.inf, 1e20):
+        with pytest.raises(ConvergenceError, match="phase equation"):
+            zerofinder._phase_root([(a6, 13.0 * a6), *pairs[1:]], *args,
+                                   estimate.partial[3])
+    with pytest.raises(ConvergenceError, match="phase equation"):
+        zerofinder._phase_root(pairs, *args, 1e6)
+    monkeypatch.setattr(zerofinder, "_phase_coefficients",
+                        lambda x, family: [*A[:6], math.inf])
+    with pytest.raises(ConvergenceError, match="phase equation") as info:
+        asymptotic_zero("K", 1, 1.0)
+    assert type(info.value) is ConvergenceError
+    with pytest.raises(EnumerationError) as info:
+        enumerate_zeros("K", 1.0, 3)
+    assert info.value.n == 1
+    assert type(info.value.__cause__) is ConvergenceError
+    assert main(["zeros", "--kind", "K", "--n", "1"]) == 3
+    assert "phase equation" in capsys.readouterr().err
 
 
-def test_a_start_outside_the_bracket_raises_before_evaluating(monkeypatch):
-    calls = _count_detection_calls(monkeypatch)
-    estimate = asymptotic_zero("L", 1, 1.0)
-    p4 = estimate.partial[-1]
-    for start in ((p4 + 1.0, 0.0), (p4 - 1.0, 0.0), (math.nan, 0.0)):
-        with pytest.raises(BracketingError, match="lies outside"):
-            refine_zero(estimate._replace(start=start))
-    assert calls == []
-
-
-def test_the_fifth_sum_lies_closer_to_the_refined_zero_than_the_fourth():
-    # Every kind at x = 0.5, 1, 2 and 4, n = 5..100. Both sums equal the
-    # refined zero where the estimate is the zero to rounding (x = 0.5,
-    # from n = 82 to 95 on). At n <= 4 the fourth correction can overshoot:
-    # K n = 1 at x = 0.5 and 4, K n = 2 and L n = 1 at x = 0.5.
+def test_nu_star_lies_closer_to_the_refined_zero_than_the_paper_sum():
+    # Every kind at x = 0.5, 1, 2 and 4, n = 2..100. Both equal the refined
+    # zero where the estimate is the zero to rounding (at x = 0.5 from
+    # n = 66 on). At n = 1 nu* is farther for K at x = 0.5 alone.
     ties = 0
     for kind in FunctionKind:
         for x in (0.5, 1.0, 2.0, 4.0):
-            for record in enumerate_zeros(kind, x, 100)[4:]:
-                p3, p4 = record.partial[3], record.partial[4]
+            for record in enumerate_zeros(kind, x, 100)[1:]:
+                p3, star = record.partial[3], record.partial[4]
                 d3 = abs(p3 - record.nu_refined)
-                d4 = abs(p4 - record.nu_refined)
+                d4 = abs(star - record.nu_refined)
                 where = (kind.value, x, record.n, d3, d4)
                 assert d4 < d3 or d4 == d3 == 0.0, where
                 ties += d3 == 0.0
@@ -735,15 +717,19 @@ def test_the_leading_large_x_zeros_are_refined():
                  3) == 18.490
 
 
-@pytest.mark.parametrize("kind,x", [("L", 70.0), ("G", 55.0)])
+@pytest.mark.parametrize("kind,x,size", [("L", 70.0, 2.0), ("G", 55.0, 1.0)])
 def test_an_estimate_outside_its_phase_window_raises_before_evaluating(
-        kind, x, monkeypatch):
-    # At n = 1 the estimate's half-width h, 1.39 for L at x = 70 and 1.21
-    # for G at x = 55, takes nu_hat -+ h out of the uniform phase window.
+        kind, x, size, monkeypatch):
+    # At n = 1 nu*'s own half-width is the 0.05 floor. A size that makes h
+    # 4.0 for L at x = 70 and 2.0 for G at x = 55 takes nu* -+ h out of the
+    # uniform phase window.
     calls = _count_detection_calls(monkeypatch)
     estimate = asymptotic_zero(kind, 1, x)
+    assert max(0.05, 2.0 * estimate.size) == 0.05
+    refine_zero(estimate)
+    calls.clear()
     with pytest.raises(BracketingError, match="leaves the phase window"):
-        refine_zero(estimate)
+        refine_zero(estimate._replace(size=size))
     assert calls == []
 
 
@@ -753,7 +739,7 @@ def test_a_negative_lambda_raises_domain_error_before_evaluating(
     # phase expression at the bracket -1.5 -+ 0.05 falls inside the window.
     # The window test must refuse lo <= 0 itself, as phase does.
     bogus = ZeroEstimate(FunctionKind.L, 1, 1.0, 1.0, -0.5, -1.5,
-                         (-1.5, -1.5, -1.5, -1.5))
+                         (-1.5, -1.5, -1.5, -1.5), 0.0)
     lo, hi = -1.55, -1.45
     assert bogus.lambda_ * lo > 1.0 / math.e
     assert lo * math.log(bogus.lambda_ * lo) > bogus.m - math.pi / 2.0
@@ -869,11 +855,12 @@ def test_an_enumeration_calls_every_traced_layer_through_its_module(
 @pytest.mark.parametrize("n", [1, 400])
 def test_an_exact_zero_at_the_estimate_is_confirmed_by_both_ends(
         n, monkeypatch):
-    # A linear detection value vanishing at the start: nu* at n = 1, the
-    # fifth sum at n = 400, which is probed.
+    # A linear detection value vanishing at the start nu*, which is probed
+    # at n = 400 and not at n = 1.
     estimate = asymptotic_zero("K", n, 1.0)
-    start = estimate.start[0] if n == 1 else estimate.partial[-1]
-    assert (estimate.start is None) == (n == 400)
+    start = estimate.partial[-1]
+    step = 2.0 * zerofinder._EPS * start + 0.5 * zerofinder._WIDTH
+    assert (estimate.size < zerofinder._PROBE_STEPS * step) == (n == 400)
     calls = []
 
     def linear(kind, nu, x):
@@ -1095,19 +1082,19 @@ def test_zero_record_fields_are_the_documented_ones_in_order():
         "kind", "n", "x", "nu_asymptotic", "nu_refined", "discrepancy",
         "bracket", "residual", "partial")
     assert ZeroEstimate._fields == (
-        "kind", "n", "x", "m", "lambda_", "xi", "partial", "start")
-    assert ZeroEstimate._field_defaults == {"start": None}
+        "kind", "n", "x", "m", "lambda_", "xi", "partial", "size")
+    assert ZeroEstimate._field_defaults == {}
 
 
 @pytest.mark.parametrize("kind,x,cause", [
     ("L", 0.05, UnreliableAsymptoticsError),
     # README's refusals: below its domain of enumeration the leading term
-    # fails the validity guard, and K's n = 1 from x = 40 on lies outside
-    # estimate -+ h.
+    # fails the validity guard, and K's n = 1 from x = 75 on lies outside
+    # nu* -+ h.
     *((kind, x, UnreliableAsymptoticsError) for kind in "KG"
       for x in (0.3, 0.4)),
     *((kind, 0.2, UnreliableAsymptoticsError) for kind in "LKFG"),
-    ("K", 40.0, BracketingError), ("K", 45.0, BracketingError)])
+    ("K", 75.0, BracketingError), ("K", 80.0, BracketingError)])
 def test_enumerate_abort_attaches_completed_records(kind, x, cause):
     with pytest.raises(EnumerationError) as info:
         enumerate_zeros(kind, x, 500)
