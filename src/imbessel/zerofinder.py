@@ -164,8 +164,7 @@ def _estimate(kind: FunctionKind, n: int, x: float, A: list[float],
     if not (xi > threshold):
         raise UnreliableAsymptoticsError(xi, threshold)
 
-    correction = correction_coefficients(A, xi, m)
-    B0, B1, B2 = correction.B
+    B0, B1, B2 = correction_coefficients(A, xi, m).B
     p1 = xi + B0 / m
     p2 = p1 + B1 / m3
     p3 = p2 + B2 / m5
