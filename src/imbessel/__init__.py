@@ -16,7 +16,7 @@ from .besseval import (NU_MIN, FunctionKind, ScaledReal, detection_value,
 from .cgamma import STIRLING_COEFFICIENTS, log_gamma, recip_gamma_prefactor
 from .cli import main
 from .errors import (BracketingError, ConvergenceError, DomainError,
-                     EnumerationError, UnreliableAsymptoticsError)
+                     EnumerationError)
 from .lambertw import WResult, lambert_w0
 from .zerofinder import (ZeroEstimate, ZeroRecord, asymptotic_zero,
                          enumerate_zeros, leading_xi, phase, refine_zero)
@@ -35,7 +35,6 @@ __all__ = [
     "NU_MIN",
     "STIRLING_COEFFICIENTS",
     "ScaledReal",
-    "UnreliableAsymptoticsError",
     "WResult",
     "ZeroEstimate",
     "ZeroRecord",

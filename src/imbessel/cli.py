@@ -14,7 +14,8 @@ Output is a pure function of the parsed arguments: identical invocations
 produce byte-identical output. A `table` cell that fails prints `error` in
 place of its numbers (or an "error" entry in json) and one
 `error: <kind> n=<n>: <reason>` line on stderr. Exit codes: 0 success, 1
-stdout closed early, 2 domain error, 3 convergence or bracketing failure.
+stdout closed early, 2 domain error, 3 convergence or bracketing failure,
+as for K and G zeros at x = 0.005, below the validated floor x = 0.01.
 In-process `main` calls share one argument parser, built on the first call.
 """
 

@@ -2,7 +2,9 @@
 
 Two top-level categories mirror the CLI exit-code contract: DomainError for
 invalid or out-of-range inputs (exit code 2) and ConvergenceError for iteration
-or bracketing failures (exit code 3).
+or bracketing failures (exit code 3). A zero whose estimate lies outside the
+paper's range xi > max(2, x) is refined like any other; where its phase
+window holds no sign change, that is a BracketingError.
 """
 
 from __future__ import annotations
@@ -14,21 +16,6 @@ class DomainError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative method failed to converge within its budget."""
-
-
-class UnreliableAsymptoticsError(DomainError):
-    """The validity guard xi > max(2, x) for the zero expansion failed.
-
-    Carries the computed leading term and the threshold it was tested against.
-    """
-
-    def __init__(self, xi: float, threshold: float):
-        self.xi = xi
-        self.threshold = threshold
-        super().__init__(
-            f"asymptotics unreliable: leading term xi = {xi!r} "
-            f"does not exceed max(2, x) = {threshold!r}"
-        )
 
 
 class BracketingError(ConvergenceError):

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 from .asymcoeff import _phase_coefficients, correction_coefficients
 from .besseval import FunctionKind, ScaledReal, _normalized, detection_value
 from .errors import (BracketingError, ConvergenceError, DomainError,
-                     EnumerationError, UnreliableAsymptoticsError)
+                     EnumerationError)
 from .lambertw import lambert_w0
 
 __all__ = ["ZeroEstimate", "ZeroRecord", "phase", "leading_xi",
@@ -55,6 +55,7 @@ class ZeroEstimate(NamedTuple):
     the paper's three-correction value nu, then nu*, the root of the phase
     equation they expand, where refinement starts; size is its last term
     |A6| nu*^-13 / (1 + log(lambda nu*)), which sizes h and gates the probe.
+    The paper's range of the expansion, xi > max(2, x), reads from xi.
     """
 
     kind: FunctionKind
@@ -119,9 +120,9 @@ def asymptotic_zero(kind: object, n: int, x: float) -> ZeroEstimate:
 
     All four partial sums are computed; `nu` is the fourth, the paper's
     estimate, and partial[4] is the phase equation's root nu* from it.
-    Raises UnreliableAsymptoticsError when the leading term xi fails the
-    validity guard xi > max(2, x), and ConvergenceError when Newton's
-    method does not find nu*.
+    The paper states it for xi = partial[0] > max(2, x); refine_zero
+    proves each zero in its phase window at any x. Raises ConvergenceError
+    when Newton's method does not find nu*.
     """
     kind = FunctionKind.coerce(kind)
     _positive_int("n", n)
@@ -144,14 +145,14 @@ def _estimator(kind: FunctionKind,
         raise DomainError(f"asymptotic_zero requires x > 0, got {x!r}")
     A = _phase_coefficients(x, kind.family)
     terms = [(a, (2 * k + 1) * a) for k, a in enumerate(A)][::-1]
-    lambda_, threshold = 2.0 / (math.e * x), max(2.0, x)
-    return lambda n: _estimate(kind, n, x, A, terms, lambda_, threshold)
+    lambda_ = 2.0 / (math.e * x)
+    return lambda n: _estimate(kind, n, x, A, terms, lambda_)
 
 
 def _estimate(kind: FunctionKind, n: int, x: float, A: list[float],
-              terms: list, lambda_: float, threshold: float) -> ZeroEstimate:
+              terms: list, lambda_: float) -> ZeroEstimate:
     # The estimate for validated arguments, from the phase coefficients
-    # A0..A6 of (x, kind.family), their pairs, lambda = 2 / (e x), max(2, x).
+    # A0..A6 of (x, kind.family), their pairs and lambda = 2 / (e x).
     try:
         m = kind.m_value(n)
         m3, m5 = m ** 3, m ** 5
@@ -161,9 +162,6 @@ def _estimate(kind: FunctionKind, n: int, x: float, A: list[float],
     # leading_xi's checks hold: m > 0, and lambda > 0 since A3 is finite
     # only for x below about 2.5e22.
     xi = m / lambert_w0(lambda_ * m).w
-    if not (xi > threshold):
-        raise UnreliableAsymptoticsError(xi, threshold)
-
     B0, B1, B2 = correction_coefficients(A, xi, m).B
     p1 = xi + B0 / m
     p2 = p1 + B1 / m3

@@ -1,4 +1,4 @@
-"""Print four SHA-256 digests that pin zeros, CLI output and evaluations.
+"""Print five SHA-256 digests that pin zeros, CLI output and evaluations.
 
 The first digest covers every field of every ZeroRecord, floats as
 float.hex, from enumerate_zeros for each kind, x in XS and n <= N_MAX. The
@@ -9,9 +9,9 @@ points (nu, x, z): eval_function and detection_value for every kind,
 series_sum for both families at +-nu, and log_gamma at z off the line
 1 + i nu, with nu from 1e-3 to 1e4 (with and without the shift loop)
 and x from 1e-2 to 40, plus the inputs in EVAL_ERRORS;
-a raised error counts by its class and message. The fourth is the first
-for x in LARGE_XS instead; a tree that cannot enumerate there raises on it
-after printing the first three.
+a raised error counts by its class and message. The fourth and fifth are
+the first for x in LARGE_XS and SMALL_XS instead; a tree that cannot
+enumerate there raises on it after printing the lines before.
 
 Run it in two checkouts on one machine and compare the lines: a change that
 claims the same bits must print the same digests. It is not a test, because
@@ -40,6 +40,7 @@ from imbessel.cli import main  # noqa: E402
 
 XS = (0.5, 1.0, 2.0, 4.0, 8.0)
 LARGE_XS = (10.0, 15.0, 20.0, 30.0)
+SMALL_XS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4)
 N_MAX = 500
 
 CLI_ARGVS = (
@@ -151,3 +152,4 @@ if __name__ == "__main__":
     print("cli %s %d" % cli_digest())
     print("evals %s %d" % eval_digest())
     print("large_x %s %d" % record_digest(LARGE_XS))
+    print("small_x %s %d" % record_digest(SMALL_XS))

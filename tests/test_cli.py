@@ -384,11 +384,23 @@ def test_table_writes_the_reason_for_each_failed_cell_to_stderr(
     assert len(failed) == (2 * len(NS) if x == "1e100" else 2)
 
 
-def test_zeros_outside_validity_exits_2(capsys):
+def test_zeros_below_the_papers_range_exit_0_and_below_the_floor_exit_3(
+        capsys):
+    # At x = 0.05 the leading term of n = 1 is below 2, outside the range
+    # the paper states its expansion for, and the zeros are refined as
+    # anywhere; --n gives the same row as --n-max. At x = 0.005, below the
+    # validated floor, K's n = 1 leaves its phase window.
     code, out, err = _run(capsys, ["zeros", "--kind", "L", "--x", "0.05"])
-    assert code == 2
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == ["1", "2", "3", "4", "5"]
+    code, one, err = _run(capsys, ["zeros", "--kind", "L", "--x", "0.05",
+                                   "--n", "3"])
+    assert (code, err, one.splitlines()[2:]) == (0, "", rows[2:3])
+    code, out, err = _run(capsys, ["zeros", "--kind", "K", "--x", "0.005"])
+    assert code == 3
     assert out == ""
-    assert err.startswith("error: enumeration of L zeros aborted at n = 1:")
+    assert err.startswith("error: enumeration of K zeros aborted at n = 1:")
 
 
 def test_zeros_past_the_float_resolution_exits_2(capsys):

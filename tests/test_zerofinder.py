@@ -14,8 +14,7 @@ import mpmath as mp
 import pytest
 
 from imbessel import (BracketingError, ConvergenceError, DomainError,
-                      EnumerationError, FunctionKind,
-                      UnreliableAsymptoticsError, ZeroEstimate,
+                      EnumerationError, FunctionKind, ZeroEstimate,
                       asymptotic_zero, coefficient_set,
                       correction_coefficients, detection_value,
                       enumerate_zeros, eval_function, lambert_w0,
@@ -145,11 +144,15 @@ def test_asymptotic_zero_validates_arguments(bad_call):
         bad_call()
 
 
-def test_asymptotic_zero_guard_reports_the_failed_leading_term():
-    with pytest.raises(UnreliableAsymptoticsError) as info:
-        asymptotic_zero("L", 1, 0.05)
-    assert info.value.threshold == 2.0
-    assert 0.0 < info.value.xi <= info.value.threshold
+def test_an_estimate_below_the_papers_range_still_yields_its_zero():
+    # The paper states its expansion for xi > max(2, x); at x = 0.05 the
+    # leading term of L n = 1 is below 2, and the estimate still seeds a
+    # zero that mpmath confirms.
+    estimate = asymptotic_zero("L", 1, 0.05)
+    assert 0.0 < estimate.partial[0] <= 2.0
+    nu = refine_zero(estimate).nu_refined
+    assert _mp_changes_sign(FunctionKind.L, nu * (1.0 - 1e-13),
+                            nu * (1.0 + 1e-13), 0.05), nu
 
 
 @pytest.mark.parametrize("kind,n", [("K", 1), ("F", 1), ("G", 50)])
@@ -526,21 +529,20 @@ def test_the_phase_window_edge_is_where_the_uniform_phase_is_m_pm_half_pi(
                         lo, hi, estimate) is False
 
 
-# README's domain of enumeration, n = 1..500: every kind on the grid, and L
-# and F also at x = 0.3 and 0.4.
-_ENUMERATION_GRID = (0.5, 0.7, 1.0, 1.5, 2.0, *map(float, range(3, 13)),
-                     14.0, 16.0, 18.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0,
-                     50.0, 55.0, 60.0)
-_ENUMERATION_DOMAIN = (
-    [(kind, x) for kind in FunctionKind for x in _ENUMERATION_GRID]
-    + [(FunctionKind.coerce(kind), x) for kind in "LF" for x in (0.3, 0.4)])
+# README's domain of enumeration, n = 1..500: every kind on the grid.
+_SMALL_XS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4)
+_ENUMERATION_GRID = (*_SMALL_XS, 0.5, 0.7, 1.0, 1.5, 2.0,
+                     *map(float, range(3, 13)), 14.0, 16.0, 18.0, 20.0,
+                     25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0, 60.0)
+_ENUMERATION_DOMAIN = [(kind, x) for kind in FunctionKind
+                       for x in _ENUMERATION_GRID]
 
 
 @pytest.mark.parametrize("kind,x", _ENUMERATION_DOMAIN)
 def test_the_uniform_phase_labels_every_record(kind, x):
     # Each refined zero sits within pi/16 of its m in the uniform phase, at
-    # worst 0.0145 pi (K, x = 0.5, n = 1), and both bracket ends inside the
-    # pi/2 window the guard checks, at worst 0.060 pi (L, x = 0.4, n = 5).
+    # worst 0.045 pi (K, x = 0.01, n = 1), and both bracket ends inside the
+    # pi/2 window the guard checks, at worst 0.180 pi (G, x = 0.01, n = 1).
     # The windows of adjacent n are disjoint, so the guard is the label.
     records = enumerate_zeros(kind, x, 500)
     assert len(records) == 500
@@ -553,31 +555,61 @@ def test_the_uniform_phase_labels_every_record(kind, x):
             assert offset < math.pi / 2.0, (record.n, nu, offset)
 
 
-def _mp_changes_sign(kind, lo, hi, x):
+def _mp_negative(kind, nu, x):
     # Whether the kind's component of I or J at order i nu, which has the
-    # sign of the function, changes sign on [lo, hi]; at 80 digits, as at 40
-    # mpmath loses the leading digits of L and K by n = 50.
+    # sign of the function, is negative; at 80 digits, as at 40 mpmath
+    # loses the leading digits of L and K by n = 50.
     with mp.workdps(80):
         bessel = mp.besseli if kind.family == "modified" else mp.besselj
-        parts = [bessel(1j * mp.mpf(nu), x) for nu in (lo, hi)]
-        values = [part.imag if kind.imaginary else part.real
-                  for part in parts]
-        return (values[0] < 0) != (values[1] < 0)
+        part = bessel(1j * mp.mpf(nu), x)
+        return (part.imag if kind.imaginary else part.real) < 0
 
 
-@pytest.mark.parametrize("x", [10.0, 20.0, 30.0, 35.0, 40.0, 45.0, 50.0,
-                               55.0, 60.0])
+def _mp_changes_sign(kind, lo, hi, x):
+    # Whether the function changes sign on [lo, hi], by mpmath.
+    return _mp_negative(kind, lo, x) != _mp_negative(kind, hi, x)
+
+
+@pytest.mark.parametrize("x", [*_SMALL_XS, 10.0, 20.0, 30.0, 35.0, 40.0,
+                               45.0, 50.0, 55.0, 60.0])
 @pytest.mark.parametrize("kind", list(FunctionKind))
-def test_large_x_zeros_enumerate_and_match_mpmath(kind, x):
+def test_zeros_at_the_domain_edges_enumerate_and_match_mpmath(kind, x):
     # The uniform phase window holds every zero n <= 500 at these x, where
-    # the large-order phase refused L and K n = 1 from x = 10. From x = 35
-    # to 60, n = 1 has the 0.05 floor as its half-width h.
+    # the large-order phase refused L and K n = 1 from x = 10, and below
+    # x = 0.5, where n = 1 lies outside the paper's range xi > max(2, x).
+    # From x = 35 to 60, n = 1 has the 0.05 floor as its half-width h.
     records = enumerate_zeros(kind, x, 500)
     assert len(records) == 500
     for n in (1, 2, 10, 50):
         nu = records[n - 1].nu_refined
         assert _mp_changes_sign(kind, nu * (1.0 - 1e-13), nu * (1.0 + 1e-13),
                                 x), (kind.value, n, x, nu)
+
+
+# README's n = 0 zeros of L and F, below the paper's n = 1, by mpmath's
+# findroot (30 digits) to six digits.
+_N0_ZEROS = {0.01: (0.329831, 0.329834), 0.02: (0.384696, 0.384712),
+             0.05: (0.491112, 0.491259), 0.1: (0.616307, 0.617115),
+             0.2: (0.812549, 0.816913), 0.3: (0.981921, 0.993272),
+             0.4: (1.13840, 1.16018)}
+
+
+@pytest.mark.parametrize("x", _SMALL_XS)
+@pytest.mark.parametrize("kind", list(FunctionKind))
+def test_below_n_1_only_l_and_f_vanish_once_at_small_x(kind, x):
+    # A sign scan of 99 points on (0, nu_1): K and G keep one sign, and L
+    # and F change it once, across their n = 0 zero, so the enumeration
+    # skips no zero but that one.
+    nu1 = enumerate_zeros(kind, x, 1)[0].nu_refined
+    grid = [nu1 * j / 100.0 for j in range(1, 100)]
+    signs = [_mp_negative(kind, nu, x) for nu in grid]
+    cells = [(lo, hi) for lo, hi, a, b in zip(grid, grid[1:], signs,
+                                              signs[1:]) if a != b]
+    if kind.value in "KG":
+        assert cells == []
+    else:
+        zero = _N0_ZEROS[x][kind.value == "F"]
+        assert len(cells) == 1 and cells[0][0] < zero < cells[0][1], cells
 
 
 def _mp_truncated_zero(estimate, A):
@@ -1071,7 +1103,7 @@ def test_every_exported_name_resolves_and_the_package_exports_all():
         exported.update(module.__all__)
     errors = {name for name, value in vars(imbessel.errors).items()
               if isinstance(value, type) and issubclass(value, Exception)}
-    assert len(errors) == 5
+    assert len(errors) == 4
     assert len(imbessel.__all__) == len(set(imbessel.__all__))
     assert set(imbessel.__all__) == ((exported - {"build_parser"}) | errors
                                      | {"__version__"})
@@ -1087,13 +1119,13 @@ def test_zero_record_fields_are_the_documented_ones_in_order():
 
 
 @pytest.mark.parametrize("kind,x,cause", [
-    ("L", 0.05, UnreliableAsymptoticsError),
-    # README's refusals: below its domain of enumeration the leading term
-    # fails the validity guard, and K's n = 1 from x = 75 on lies outside
-    # nu* -+ h.
-    *((kind, x, UnreliableAsymptoticsError) for kind in "KG"
-      for x in (0.3, 0.4)),
-    *((kind, 0.2, UnreliableAsymptoticsError) for kind in "LKFG"),
+    # README's refusals: below its floor x = 0.01, K and G n = 1 leave the
+    # phase window at x = 0.005 and have no root nu* at x = 0.002, and L
+    # and F n = 1 leave it at x = 1e-4; K's n = 1 from x = 75 on lies
+    # outside nu* -+ h.
+    *((kind, 0.005, BracketingError) for kind in "KG"),
+    *((kind, 0.002, ConvergenceError) for kind in "KG"),
+    *((kind, 1e-4, BracketingError) for kind in "LF"),
     ("K", 75.0, BracketingError), ("K", 80.0, BracketingError)])
 def test_enumerate_abort_attaches_completed_records(kind, x, cause):
     with pytest.raises(EnumerationError) as info:
@@ -1103,7 +1135,7 @@ def test_enumerate_abort_attaches_completed_records(kind, x, cause):
     assert type(info.value.__cause__) is cause
 
 
-@pytest.mark.parametrize("x", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("x", [0.05, 0.5, 1.0, 4.0])
 @pytest.mark.parametrize("kind", ["L", "K", "F", "G"])
 def test_enumerate_matches_refining_each_estimate(kind, x):
     records = enumerate_zeros(kind, x, 60)
