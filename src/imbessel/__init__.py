@@ -4,8 +4,8 @@ For fixed argument x > 0 the functions L(nu, x), K(nu, x), F(nu, x) and
 G(nu, x) are real-valued oscillating functions of the order parameter
 nu > 0. This package evaluates them in overflow-safe scaled form, predicts
 the location of their n-th nu-zero with a Lambert-W based asymptotic
-expansion carrying up to four correction terms, and refines each estimate
-to near machine accuracy with a bracketing root finder.
+expansion (three corrections and nu*, the root of its phase equation), and
+refines each from nu* to near machine accuracy by bracketing.
 """
 
 from .asymcoeff import (A_coefficients, CoefficientSet,

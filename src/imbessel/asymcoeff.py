@@ -3,13 +3,14 @@
 For fixed argument x the chain is chi = x^2/4 -> C_k -> a_k -> A_k -> (b_k,
 B_k). One pass per (x, family) builds it by one route: C_k from the
 Stirling numbers of the second kind, a_k by one Cauchy product with the
-Stirling coefficients of 1/Gamma (DLMF 5.11), and A_k by one log-series
-recurrence. The public functions keep the paper's C0..C5, a0..a5 and A0..A2
-of a pass to order 6; the zero finder's pass to order 14, with the same bits
-below 6, adds A3..A6 for the phase equation whose root starts every zero's
-refinement. The correction coefficients b_k (xi-normalized) and B_k
-(m-normalized) solve the order-by-order balance of nu log(lambda nu) = m -
-A0/nu - A1/nu^3 - A2/nu^5 around the leading solution xi.
+gamma_k of 1/Gamma (DLMF 5.11), derived in cgamma from Bernoulli numbers,
+and A_k by one log-series recurrence. The public functions keep the paper's
+C0..C5, a0..a5 and A0..A2 of a pass to order 6; the zero finder's pass to
+order 14, with the same bits below 6, adds A3..A6 for the phase equation
+whose root starts every zero's refinement. The correction coefficients b_k
+(xi-normalized) and B_k (m-normalized) solve the order-by-order balance of
+nu log(lambda nu) = m - A0/nu - A1/nu^3 - A2/nu^5 around the leading
+solution xi.
 
 The ordinary family (F, G) evaluates the C_k at -chi. All coefficients are
 n-independent, so the zero finder makes the pass once per (x, family) and
@@ -32,15 +33,7 @@ __all__ = ["CoefficientSet", "CorrectionCoefficients", "c_polynomials",
 
 _FAMILIES = ("modified", "ordinary")
 
-# gamma_0..gamma_13, each (-1)^k g_k with g_k the Stirling coefficients of
-# Gamma in DLMF 5.11, correctly rounded from exact rationals.
-_GAMMA = (*(float(g) for g in STIRLING_COEFFICIENTS), 5246819 / 75246796800,
-          534703531 / 902961561600, -4483131259 / 86684309913600,
-          -432261921612371 / 514904800886784000,
-          6232523202521089 / 86504006548979712000,
-          25834629665134204969 / 13494625021640835072000,
-          -1579029138854919086429 / 9716130015581401251840000,
-          -746590869962651602203151 / 116593560186976815022080000)
+_GAMMA = tuple(map(float, STIRLING_COEFFICIENTS))
 _ORDER = len(_GAMMA)
 _PUBLISHED = 6  # the order of the published C0..C5, a0..a5 and A0..A2
 

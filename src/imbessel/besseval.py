@@ -98,19 +98,22 @@ def series_sum(nu: float, x: float, family: str) -> complex:
     float, and truncated when the current term's modulus falls to 1e-18 times
     the partial sum's. Raises DomainError for non-finite nu or x, and
     ConvergenceError past 500 terms, which cannot happen for x <= 50, or
-    when the sum overflows to a non-finite value.
+    when (x/2)^2 or the sum overflows to a non-finite value.
     """
     if not (0.0 < x < math.inf):
         raise DomainError(f"series_sum requires finite x > 0, got {x!r}")
     if not (-math.inf < nu < math.inf):
         raise DomainError(f"series_sum requires finite nu, got {nu!r}")
-    if family == "modified":
-        z = (0.5 * x) ** 2
-    elif family == "ordinary":
-        z = -((0.5 * x) ** 2)
-    else:
+    if family != "modified" and family != "ordinary":
         raise DomainError(
             f"family must be 'modified' or 'ordinary', got {family!r}")
+    try:
+        z = (0.5 * x) ** 2
+    except OverflowError:
+        raise ConvergenceError(
+            f"series sum is not finite (nu={nu!r}, x={x!r})") from None
+    if family == "ordinary":
+        z = -z
 
     inu = complex(0.0, nu)
     term = 1.0 + 0.0j

@@ -7,10 +7,8 @@ Below nu = 16 it is Im log_gamma(1 + i*nu), from 16 on a real series in
 the Stirling asymptotic series after an argument shift, which keeps the
 error budget explicit: with eight Bernoulli terms at |z| >= 10 the
 truncation error is below 1e-17 absolute, and the recurrence shift adds
-only a few ulps per step.
-
-The gamma_k Stirling coefficients of the reciprocal-Gamma series are stored
-as exact rationals; they feed the a_k coefficient pipeline, not log_gamma.
+only a few ulps per step. The same terms, exact, give the reciprocal-Gamma
+Stirling coefficients gamma_0..gamma_13 (DLMF 5.11) of the a_k pipeline.
 """
 
 from __future__ import annotations
@@ -24,23 +22,25 @@ from .errors import DomainError
 
 __all__ = ["STIRLING_COEFFICIENTS", "log_gamma", "recip_gamma_prefactor"]
 
-# The first six coefficients gamma_k of the reciprocal-Gamma asymptotic
-# series, as exact rationals.
-STIRLING_COEFFICIENTS = (
-    Fraction(1),
-    Fraction(-1, 12),
-    Fraction(1, 288),
-    Fraction(139, 51840),
-    Fraction(-571, 2488320),
-    Fraction(-163879, 209018880),
-)
-
-# Bernoulli-number coefficients B_{2j} / (2j (2j-1)) of the log-gamma Stirling
-# series, j = 1..8, named by the power of 1/z each multiplies. Exact
-# rationals, converted once.
-_C1, _C3, _C5, _C7, _C9, _C11, _C13, _C15 = (float(Fraction(*c)) for c in (
+# Bernoulli-number coefficients c_j = B_{2j} / (2j (2j-1)) of the log-gamma
+# Stirling series, j = 1..8, exact; _C1.._C15 by the power of 1/z.
+_BERNOULLI_TERMS = tuple(Fraction(*c) for c in (
     (1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360),
     (1, 156), (-3617, 122400)))
+_C1, _C3, _C5, _C7, _C9, _C11, _C13, _C15 = map(float, _BERNOULLI_TERMS)
+
+
+def _stirling_coefficients(count: int) -> tuple[Fraction, ...]:
+    # gamma_0..gamma_(count-1), the t^k coefficients g_k of exp(-sum_j c_j
+    # t^(2j-1)), exactly: k g_k = -sum_j (2j+1) c_(j+1) g_(k-2j-1).
+    g = [Fraction(1)]
+    for k in range(1, count):
+        g.append(-sum((2 * j + 1) * c * g[k - 2 * j - 1] for j, c in
+                      enumerate(_BERNOULLI_TERMS[:(k + 1) // 2])) / k)
+    return tuple(g)
+
+
+STIRLING_COEFFICIENTS = _stirling_coefficients(14)
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 

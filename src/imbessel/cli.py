@@ -245,8 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeros = sub.add_parser("zeros", help="compute and refine nu-zeros")
     p_zeros.add_argument("--kind", required=True, choices=_KIND_CHOICES)
     p_zeros.add_argument("--x", type=float, default=1.0)
-    p_zeros.add_argument("--n", type=int, default=None)
-    p_zeros.add_argument("--n-max", type=int, default=5)
+    # A str default is parsed like given text, so --n-max 5 conflicts too.
+    indices = p_zeros.add_mutually_exclusive_group()
+    indices.add_argument("--n", type=int, default=None)
+    indices.add_argument("--n-max", type=int, default="5")
     p_zeros.add_argument("--order", type=int, choices=[0, 1, 2, 3], default=3)
     p_zeros.add_argument("--format", choices=["text", "csv", "json"],
                          default="text")
@@ -262,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs = sub.add_parser("coeffs", help="dump the coefficient pipeline")
     p_coeffs.add_argument("--kind", required=True, choices=_KIND_CHOICES)
     p_coeffs.add_argument("--x", type=float, default=1.0)
-    p_coeffs.add_argument("--n", type=int, default=None)
-    p_coeffs.add_argument("--n-max", type=int, default=5)
+    indices = p_coeffs.add_mutually_exclusive_group()
+    indices.add_argument("--n", type=int, default=None)
+    indices.add_argument("--n-max", type=int, default="5")
     p_coeffs.set_defaults(run=cmd_coeffs)
 
     return parser

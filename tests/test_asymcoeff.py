@@ -84,9 +84,9 @@ def test_c_polynomials_are_the_series_expansion_coefficients():
 
 def test_a_coefficients_reduce_to_series_coefficients_at_zero():
     assert a_coefficients(0.0, "modified") == \
-        [float(g) for g in STIRLING_COEFFICIENTS]
+        [float(g) for g in STIRLING_COEFFICIENTS[:6]]
     assert a_coefficients(0.0, "ordinary") == \
-        [float(g) for g in STIRLING_COEFFICIENTS]
+        [float(g) for g in STIRLING_COEFFICIENTS[:6]]
 
 
 def test_a_coefficients_first_order_values():
@@ -290,33 +290,23 @@ def _exact_phase_coefficients(chi: Fraction) -> list[Fraction]:
     return [g[k] if k % 4 == 1 else -g[k] for k in range(1, 14, 2)]
 
 
-def test_gamma_6_and_7_continue_the_reciprocal_gamma_series():
-    # 1/Gamma's Stirling factor is exp(-sum_j B_2j t^(2j-1) / (2j (2j-1)));
-    # its t^k coefficients, from k h_k = sum_j j f_j h_(k-j), are the
-    # gamma_k, and the zero finder's floats hold gamma_0..gamma_7.
-    bernoulli = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
-                 Fraction(-1, 30))
-    f = [Fraction(0)] * 8
-    for j, b2j in enumerate(bernoulli, start=1):
-        f[2 * j - 1] = -b2j / (2 * j * (2 * j - 1))
-    h = [Fraction(1)] + [Fraction(0)] * 7
-    for k in range(1, 8):
-        h[k] = sum(j * f[j] * h[k - j] for j in range(1, k + 1)) / k
-    assert h[:6] == list(STIRLING_COEFFICIENTS)
-    assert h[6:] == list(_GAMMA_67)
-    assert asymcoeff._GAMMA[:8] == tuple(float(g) for g in h)
-
-
 def test_gamma_8_to_13_are_the_correctly_rounded_stirling_coefficients():
-    # The pass's gamma_8..gamma_13, against the exact coefficients that the
-    # Bernoulli numbers give; each float is within half an ulp of its value.
+    # cgamma's gamma_0..gamma_13, derived from its Bernoulli terms, against
+    # the exact coefficients computed here from the Bernoulli numbers alone;
+    # each of the pass's floats is correctly rounded, and their bits pinned.
     exact = _exact_gamma(14)
-    assert exact[:6] == list(STIRLING_COEFFICIENTS)
+    assert STIRLING_COEFFICIENTS == tuple(exact)
     assert exact[6:8] == list(_GAMMA_67)
     assert exact[8] == Fraction(-4483131259, 86684309913600)
-    assert len(asymcoeff._GAMMA) == 14
-    for k in range(8, 14):
-        value = asymcoeff._GAMMA[k]
+    assert [g.hex() for g in asymcoeff._GAMMA] == [
+        "0x1.0000000000000p+0", "-0x1.5555555555555p-4",
+        "0x1.c71c71c71c71cp-9", "0x1.5f7268edab4c8p-9",
+        "-0x1.e13ce465fa859p-13", "-0x1.9b0ff6874f2c4p-11",
+        "0x1.247604839c038p-14", "0x1.36773bdb97b48p-11",
+        "-0x1.b1d75d3346711p-15", "-0x1.b8239c670e690p-11",
+        "0x1.2e31f9b7913eap-14", "0x1.f5dbcaf756cdep-10",
+        "-0x1.54d241144693fp-13", "-0x1.a3a699f4a401bp-8"]
+    for k, value in enumerate(asymcoeff._GAMMA):
         assert value == float(exact[k]), k
         assert abs(Fraction(value) - exact[k]) <= \
             Fraction(math.ulp(value)) / 2, k

@@ -184,15 +184,18 @@ def test_series_convergence_failure_is_reachable_for_the_ordinary_family():
     assert abs(series_sum(1.0, 670.0, "modified")) > 1e288
 
 
+@pytest.mark.parametrize("x", [1e4, 2.7e154, 1e300])
 @pytest.mark.parametrize("family", ["modified", "ordinary"])
-def test_a_series_that_overflows_raises_instead_of_returning_nan(family):
+def test_a_series_that_overflows_raises_instead_of_returning_nan(family, x):
     # At x = 1e4 the terms pass the float range long before they shrink, so
-    # the sum reaches inf + nan j; it must not be returned.
+    # the sum reaches inf + nan j; it must not be returned. From x = 2.7e154
+    # on (x/2)^2 itself overflows, and must not raise OverflowError.
     with pytest.raises(ConvergenceError, match="not finite"):
-        series_sum(5.0, 1e4, family)
+        series_sum(5.0, x, family)
     kind = "K" if family == "modified" else "F"
-    with pytest.raises(ConvergenceError, match="not finite"):
-        eval_function(kind, 5.0, 1e4)
+    for evaluate in (eval_function, detection_value):
+        with pytest.raises(ConvergenceError, match="not finite"):
+            evaluate(kind, 5.0, x)
 
 
 @pytest.mark.parametrize("nu", [2.962549, 5.0])

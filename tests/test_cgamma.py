@@ -313,6 +313,6 @@ def test_reciprocal_gamma_series_coefficients_are_exact_rationals():
     want = (Fraction(1), Fraction(-1, 12), Fraction(1, 288),
             Fraction(139, 51840), Fraction(-571, 2488320),
             Fraction(-163879, 209018880))
-    assert STIRLING_COEFFICIENTS == want
-    assert tuple(float(g) for g in STIRLING_COEFFICIENTS) == \
+    assert STIRLING_COEFFICIENTS[:6] == want
+    assert tuple(float(g) for g in STIRLING_COEFFICIENTS[:6]) == \
         tuple(float(g) for g in want)

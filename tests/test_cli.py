@@ -331,13 +331,15 @@ def test_eval_non_finite_nu_exits_2(capsys):
     assert err == "error: eval_function requires nu >= 0.001, got inf\n"
 
 
+@pytest.mark.parametrize("x", ["1e4", "2.7e154", "1e300"])
 @pytest.mark.parametrize("kind", ["K", "F"])
-def test_eval_of_an_overflowing_series_exits_3(capsys, kind):
+def test_eval_of_an_overflowing_series_exits_3(capsys, kind, x):
     code, out, err = _run(capsys, ["eval", "--kind", kind, "--nu", "5",
-                                   "--x", "1e4"])
+                                   "--x", x])
     assert code == 3
     assert out == ""
-    assert err == "error: series sum is not finite (nu=5.0, x=10000.0)\n"
+    assert err == (f"error: series sum is not finite (nu=5.0, "
+                   f"x={float(x)!r})\n")
 
 
 _OVERFLOW = "coefficient_set cannot form finite coefficients at x = 1e+100"
@@ -431,15 +433,27 @@ def test_coeffs_with_an_n_whose_phase_target_overflows_exits_2(capsys):
         assert got == (2, "", want), command
 
 
-@pytest.mark.parametrize("argv", [["zeros", "--kind", "K"], ["table"]])
-def test_zeros_and_table_take_no_tolerance_option(capsys, argv):
+_NOT_WITH_N = "argument --n-max: not allowed with argument --n"
+
+
+@pytest.mark.parametrize("argv,reason", [
     # Every zero is refined to one fixed enclosure width.
+    (["zeros", "--kind", "K", "--tol", "1e-9"],
+     "unrecognized arguments: --tol 1e-9"),
+    (["table", "--tol", "1e-9"], "unrecognized arguments: --tol 1e-9"),
+    # One zero or the first n_max, never both; 5 is --n-max's default.
+    *(([command, "--kind", "K", "--n", "3", "--n-max", n_max], _NOT_WITH_N)
+      for command in ("zeros", "coeffs") for n_max in ("10", "5")),
+    (["zeros", "--kind", "K", "--n-max", "5", "--n", "3"],
+     "argument --n: not allowed with argument --n-max"),
+])
+def test_the_parser_rejects_a_usage_error(capsys, argv, reason):
     with pytest.raises(SystemExit) as rejected:
-        main(argv + ["--tol", "1e-9"])
+        main(argv)
     assert rejected.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unrecognized arguments: --tol 1e-9" in captured.err
+    assert reason in captured.err
 
 
 def test_zeros_bracketing_failure_exits_3(capsys, monkeypatch):
