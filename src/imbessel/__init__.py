@@ -11,8 +11,8 @@ refines each from nu* to near machine accuracy by bracketing.
 from .asymcoeff import (A_coefficients, CoefficientSet,
                         CorrectionCoefficients, a_coefficients, c_polynomials,
                         coefficient_set, correction_coefficients)
-from .besseval import (NU_MIN, FunctionKind, ScaledReal, detection_value,
-                       eval_function, series_sum)
+from .besseval import (NU_MIN, FunctionKind, ScaledReal, c_series_sum,
+                       detection_value, eval_function, series_sum)
 from .cgamma import STIRLING_COEFFICIENTS, log_gamma, recip_gamma_prefactor
 from .cli import main
 from .errors import (BracketingError, ConvergenceError, DomainError,
@@ -41,6 +41,7 @@ __all__ = [
     "a_coefficients",
     "asymptotic_zero",
     "c_polynomials",
+    "c_series_sum",
     "coefficient_set",
     "correction_coefficients",
     "detection_value",

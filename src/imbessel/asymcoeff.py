@@ -5,17 +5,18 @@ B_k). One pass per (x, family) builds it by one route: C_k from the
 Stirling numbers of the second kind, a_k by one Cauchy product with the
 gamma_k of 1/Gamma (DLMF 5.11), derived in cgamma from Bernoulli numbers,
 and A_k by one log-series recurrence. The public functions keep the paper's
-C0..C5, a0..a5 and A0..A2 of a pass to order 6; the zero finder's pass to
-order 14, with the same bits below 6, adds A3..A6 for the phase equation
-whose root starts every zero's refinement. The correction coefficients b_k
-(xi-normalized) and B_k (m-normalized) solve the order-by-order balance of
-nu log(lambda nu) = m - A0/nu - A1/nu^3 - A2/nu^5 around the leading
-solution xi.
+C0..C5, a0..a5 and A0..A2 of a pass to order 6; the zero finder's pass,
+with the same bits below 6, adds A3..A6 for the phase equation whose root
+starts every zero's refinement, and C6..C15 for refinement's series in
+1/(i nu) (besseval.c_series_sum) and its truncation bound. The correction
+coefficients b_k (xi-normalized) and B_k (m-normalized) solve the
+order-by-order balance of nu log(lambda nu) = m - A0/nu - A1/nu^3 -
+A2/nu^5 around the leading solution xi.
 
 The ordinary family (F, G) evaluates the C_k at -chi. All coefficients are
 n-independent, so the zero finder makes the pass once per (x, family) and
-reuses its A_0..A_6 for every zero index; coefficient_set returns the
-published part as a CoefficientSet. Both records are immutable NamedTuples.
+reuses it for every zero index; coefficient_set returns the published
+part as a CoefficientSet. Both records are immutable NamedTuples.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ __all__ = ["CoefficientSet", "CorrectionCoefficients", "c_polynomials",
 _FAMILIES = ("modified", "ordinary")
 
 _GAMMA = tuple(map(float, STIRLING_COEFFICIENTS))
-_ORDER = len(_GAMMA)
+# The zero finder's pass: a_k and A_k to the 14 gamma_k, C_k two further.
+_ORDER = len(_GAMMA) + 2
 _PUBLISHED = 6  # the order of the published C0..C5, a0..a5 and A0..A2
 
 
 def _c_rows() -> tuple[tuple[int, tuple[float, ...]], ...]:
-    # (n!, row) for n = 1..13: the integers (-1)^(n-k) S(n, k) n!/k! for k = n
+    # (n!, row) for n = 1..15: the integers (-1)^(n-k) S(n, k) n!/k! for k = n
     # down to 1, S(n, k) = k S(n-1, k) + S(n-1, k-1) from their triangle, as
     # the floats that Horner's rule would round them to anyway.
     rows, s = [], [1]
@@ -99,9 +101,10 @@ def a_coefficients(chi: float, family: str) -> list[float]:
 
 
 def _c_and_a(chi: float, family: str, order: int) -> tuple:
-    # C_k and a_k, k < order, at the family's argument c: C_n(c) = sum_k
-    # (-1)^(n-k) S(n, k) c^k / k! = c (r_1 + c (r_2 + ... + c r_n)) / n! by
-    # Horner's rule over the row of integers r_k, a_k = sum gamma_r C_{k-r}.
+    # C_k, k < order, and a_k, k < min(order, 14), at the family's argument
+    # c: C_n(c) = sum_k (-1)^(n-k) S(n, k) c^k / k! = c (r_1 + c (r_2 + ...
+    # + c r_n)) / n! by Horner's rule over the row of integers r_k, a_k =
+    # sum gamma_r C_{k-r}.
     if family not in _FAMILIES:
         raise DomainError(f"family must be one of {_FAMILIES}, got {family!r}")
     c = float(chi) if family == "modified" else -float(chi)
@@ -111,7 +114,8 @@ def _c_and_a(chi: float, family: str, order: int) -> tuple:
         for r in row[1:]:
             acc = r + c * acc
         C.append(c * acc / f)
-    return C, [sum(map(mul, _GAMMA, C[k::-1])) for k in range(order)]
+    return C, [sum(map(mul, _GAMMA, C[k::-1]))
+               for k in range(min(order, len(_GAMMA)))]
 
 
 def A_coefficients(a: list[float]) -> list[float]:
@@ -168,7 +172,7 @@ def correction_coefficients(A: list[float], xi: float,
 
 
 def _expansion(x: float, family: str, order: int = _ORDER) -> tuple:
-    # The pass for (x, family): x, chi, C_k and a_k for k < order, A_k from
+    # The pass for (x, family): x, chi, C_k and a_k (_c_and_a), A_k from
     # them. Only the published C0..C5, a0..a5 and A0..A2 must be finite.
     x = float(x)
     if not (x > 0.0):
@@ -182,15 +186,15 @@ def _expansion(x: float, family: str, order: int = _ORDER) -> tuple:
     return x, chi, C, a, A
 
 
-def _phase_coefficients(x: float, family: str) -> list[float]:
-    # A0..A6 of the pass, for the zero finder. A3 grows like chi^7 and leaves
-    # the floats from x ~ 2e22 on (A6 from 1e13, and then Newton's method
-    # finds no nu*), before coefficient_set's limit of 1.4e31.
-    x, _, _, _, A = _expansion(x, family)
+def _zero_coefficients(x: float, family: str) -> tuple[list, list]:
+    # A0..A6 and C0..C15 of the pass, for the zero finder. A3 grows like
+    # chi^7 and leaves the floats from x ~ 2e22 on (A6 from 1e13, and then
+    # Newton's method finds no nu*), before coefficient_set's limit of 1.4e31.
+    x, _, C, _, A = _expansion(x, family)
     if not math.isfinite(A[3]):
         raise DomainError(
             f"the phase coefficient A3 is not finite at x = {x!r}")
-    return A
+    return A, C
 
 
 def coefficient_set(x: float, family: str) -> CoefficientSet:

@@ -22,8 +22,10 @@ uniform phase of its zeros; the evaluators and the zero finder read them.
 
 Zeros in nu are located on the unit-normalized value unit_phase * series_sum:
 the positive scale can neither create nor destroy sign changes, and
-stripping it avoids underflow at large nu. ScaledReal is an immutable
-NamedTuple (mantissa, log_scale): it unpacks and equals a plain tuple.
+stripping it avoids underflow at large nu. At fixed x the zero finder sums
+the same series in 1/(i nu), c_series_sum, from its nu_C on. ScaledReal is
+an immutable NamedTuple (mantissa, log_scale): it unpacks and equals a
+plain tuple.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from typing import NamedTuple
 from .cgamma import recip_gamma_prefactor
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["FunctionKind", "ScaledReal", "series_sum", "eval_function",
-           "detection_value", "NU_MIN"]
+__all__ = ["FunctionKind", "ScaledReal", "series_sum", "c_series_sum",
+           "eval_function", "detection_value", "NU_MIN"]
 
 # Below this order the sinh factors of L, K, G degenerate; the studied zeros
 # all sit well above it.
@@ -133,6 +135,21 @@ def series_sum(nu: float, x: float, family: str) -> complex:
             return total
     raise ConvergenceError(
         f"series did not converge in {_MAX_TERMS} terms (nu={nu!r}, x={x!r})")
+
+
+def c_series_sum(nu: float, C: list[float]) -> complex:
+    """series_sum's sum as its series in 1/(i nu), truncated after C[13].
+
+    By DLMF 26.8 it is sum_n C_n (i nu)^-n, C_n asymcoeff's polynomials at
+    the family's +-(x/2)^2: Re = sum_j C_2j s^j and Im = -(1/nu) sum_j
+    C_(2j+1) s^j in s = -1/nu^2. The caller bounds the truncation.
+    """
+    s = -1.0 / (nu * nu)
+    return complex(
+        C[0] + s * (C[2] + s * (C[4] + s * (C[6] + s * (C[8] + s * (
+            C[10] + s * C[12]))))),
+        -(C[1] + s * (C[3] + s * (C[5] + s * (C[7] + s * (C[9] + s * (
+            C[11] + s * C[13])))))) / nu)
 
 
 # From this argument on, -expm1(-2 v) and tanh(u) round to exactly 1.0, so

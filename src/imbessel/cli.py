@@ -32,8 +32,7 @@ from .asymcoeff import coefficient_set, correction_coefficients
 from .besseval import FunctionKind, eval_function
 from .errors import ConvergenceError, DomainError, EnumerationError
 from .zerofinder import (ZeroRecord, _estimator, _positive_int,
-                         asymptotic_zero, enumerate_zeros, leading_xi,
-                         refine_zero)
+                         enumerate_zeros, leading_xi, refine_zero)
 
 __all__ = ["main", "build_parser"]
 
@@ -109,7 +108,9 @@ def cmd_zeros(args: argparse.Namespace, out) -> int:
     """Compute, refine, and report zeros n = 1..n_max (or a single n)."""
     kind = FunctionKind.coerce(args.kind)
     if args.n is not None:
-        records = [refine_zero(asymptotic_zero(kind, args.n, args.x))]
+        n = _positive_int("n", args.n)
+        estimate_of, detector = _estimator(kind, args.x)
+        records = [refine_zero(estimate_of(n), detector)]
     else:
         records = enumerate_zeros(kind, args.x, args.n_max)
     # Report the partial sum --order selects; records report partial[3].
@@ -149,14 +150,14 @@ def cmd_table(args: argparse.Namespace, out) -> int:
     cells: dict[tuple[FunctionKind, int], ZeroRecord | Exception] = {}
     code = _EXIT_OK
     for kind in kinds:
-        # One coefficient pass per kind; a cell that cannot make it records
-        # the error, and the next cell tries again.
+        # One coefficient pass and detector per kind; a cell that cannot
+        # make them records the error, and the next cell tries again.
         estimate_of = None
         for n in _TABLE_NS:
             try:
                 if estimate_of is None:
-                    estimate_of = _estimator(kind, args.x)
-                cells[kind, n] = refine_zero(estimate_of(n))
+                    estimate_of, detector = _estimator(kind, args.x)
+                cells[kind, n] = refine_zero(estimate_of(n), detector)
             except (DomainError, ConvergenceError) as exc:
                 cells[kind, n] = exc
                 code = max(code, _exit_code_for(exc))

@@ -15,7 +15,10 @@ at the nth zero at any x and a full pi from it at the next zeros.
 Refinement brackets the sign change of the unit-normalized value around
 nu* with ends where Psi - pi/4 is within pi/2 of m, so the bracket can
 never leak to an adjacent zero, and closes in with Brent-Dekker's zeroin
-from nu*, evaluating only the bracket end across the zero.
+from nu*, evaluating only the bracket end across the zero, through one
+detector per (kind, x) from the A_k's pass: detection_value below nu_C >=
+16 and the pass's C-series in 1/(i nu) (c_series_sum) from nu_C on, where
+twice its first two dropped terms are at most 2^-56.
 
 ZeroEstimate and ZeroRecord, like every record of the package, are immutable
 typing.NamedTuples: a record unpacks, indexes and compares as the plain
@@ -27,8 +30,10 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .asymcoeff import _phase_coefficients, correction_coefficients
-from .besseval import FunctionKind, ScaledReal, _normalized, detection_value
+from .asymcoeff import _zero_coefficients, correction_coefficients
+from .besseval import (FunctionKind, ScaledReal, _normalized, c_series_sum,
+                       detection_value)
+from .cgamma import recip_gamma_prefactor
 from .errors import (BracketingError, ConvergenceError, DomainError,
                      EnumerationError)
 from .lambertw import lambert_w0
@@ -80,11 +85,12 @@ class ZeroRecord(NamedTuple):
     judged against. It is the half bracket between the estimate and the end
     across the zero, or the whole bracket around the estimate when the
     estimate is the zero to rounding. nu_refined is an evaluated point of the
-    closed bracket, maybe an end, and residual equals eval_function there but
-    reuses the solver's detection value; where the probe stage confirmed the
-    zero the bracket is one solver stopping step wide, under 1e-12.
-    nu_asymptotic is the three-correction estimate partial[3], and partial
-    carries the estimate's four cumulative sums and nu*.
+    closed bracket, maybe an end, and residual is the solver's detector value
+    there, scaled as eval_function: equal to it below nu_C, within 1e-15 of
+    its unit value above. Where the probe stage confirmed the zero the
+    bracket is one solver stopping step wide, under 1e-12. nu_asymptotic is
+    the three-correction estimate partial[3], and partial carries the
+    estimate's four cumulative sums and nu*.
     """
 
     kind: FunctionKind
@@ -126,7 +132,7 @@ def asymptotic_zero(kind: object, n: int, x: float) -> ZeroEstimate:
     """
     kind = FunctionKind.coerce(kind)
     _positive_int("n", n)
-    return _estimator(kind, x)(n)
+    return _estimator(kind, x)[0](n)
 
 
 def _positive_int(name: str, value: object) -> int:
@@ -136,17 +142,44 @@ def _positive_int(name: str, value: object) -> int:
     return value
 
 
-def _estimator(kind: FunctionKind,
-               x: float) -> Callable[[int], ZeroEstimate]:
-    # Validate x and build the phase coefficients A0..A6 in one pass, with
-    # the pairs (A_k, (2k + 1) A_k) from k = 6 down for Newton's method; the
-    # returned function gives the estimate of the nth zero from them.
+def _estimator(kind: FunctionKind, x: float) -> tuple[Callable, Callable]:
+    # Validate x, make the pass once and return the estimate of the nth zero
+    # as a function of n, from A0..A6 with the pairs (A_k, (2k + 1) A_k) from
+    # k = 6 down for Newton's method, and the detector from C0..C15.
     if not (x > 0.0):
         raise DomainError(f"asymptotic_zero requires x > 0, got {x!r}")
-    A = _phase_coefficients(x, kind.family)
+    A, C = _zero_coefficients(x, kind.family)
     terms = [(a, (2 * k + 1) * a) for k, a in enumerate(A)][::-1]
     lambda_ = 2.0 / (math.e * x)
-    return lambda n: _estimate(kind, n, x, A, terms, lambda_)
+    return (lambda n: _estimate(kind, n, x, A, terms, lambda_),
+            _detector(kind, x, C))
+
+
+def _threshold(C: list[float]) -> float:
+    # nu_C, the least nu >= 16 (above every k <= 13 of the C-series) where
+    # 2 (|C14| nu^-14 + |C15| nu^-15) <= 2^-56, infinite where C14 or C15 is
+    # not finite; a fixed-point iteration that contracts at least 14-fold a
+    # step solves nu^14 = 2^57 (|C14| + |C15| / nu) to a few ulps.
+    c14, c15 = abs(C[14]), abs(C[15])
+    if not c14 + c15 < math.inf:
+        return math.inf
+    nu = 16.0
+    for _ in range(16):
+        nu = max(16.0, (2.0 ** 57 * (c14 + c15 / nu)) ** (1 / 14))
+    return nu
+
+
+def _detector(kind: FunctionKind, x: float, C: list) -> Callable:
+    # The g(nu) refinement evaluates for (kind, x): detection_value below
+    # nu_C, the kind's component of the prefactor times the C-series above.
+    nu_c, imaginary, sign = _threshold(C), kind.imaginary, kind.sign
+
+    def detect(nu: float) -> float:
+        if nu < nu_c:
+            return detection_value(kind, nu, x)
+        unit = recip_gamma_prefactor(nu, x) * c_series_sum(nu, C)
+        return sign * (unit.imag if imaginary else unit.real)
+    return detect
 
 
 def _estimate(kind: FunctionKind, n: int, x: float, A: list[float],
@@ -260,7 +293,7 @@ def _sign_above(kind: FunctionKind, n: int) -> float:
     return kind.sign if n & 1 else -kind.sign
 
 
-def _half_bracket(kind: FunctionKind, x: float, lo: float, hi: float,
+def _half_bracket(g: Callable[[float], float], lo: float, hi: float,
                   nu_hat: float, g_hat: float, sign_above: float
                   ) -> tuple[float, float, tuple[float, float]] | None:
     # Solve on the closed half of [lo, hi] that the sign of g_hat puts across
@@ -268,9 +301,9 @@ def _half_bracket(kind: FunctionKind, x: float, lo: float, hi: float,
     # predicted end shows no sign change. A zero at the estimate, g_hat 0.0,
     # needs the far end to bracket it with ends that change sign.
     end, far = (lo, hi) if (g_hat > 0.0) == (sign_above > 0.0) else (hi, lo)
-    g_end = detection_value(kind, end, x)
+    g_end = g(end)
     if g_hat == 0.0:
-        g_far = detection_value(kind, far, x)
+        g_far = g(far)
         return ((nu_hat, g_hat, (lo, hi)) if g_end != 0.0 != g_far
                 and (g_end < 0.0) != (g_far < 0.0) else None)
     # No sign change between g_end and g_hat, which is nonzero here.
@@ -282,11 +315,11 @@ def _half_bracket(kind: FunctionKind, x: float, lo: float, hi: float,
     b, g_b = (end, g_end) if abs(g_end) < abs(g_hat) else (nu_hat, g_hat)
     if abs(0.5 * (end - nu_hat)) <= 2.0 * _EPS * abs(b) + 0.5 * _WIDTH:
         return b, g_b, bracket
-    return (*_brent(lambda nu: detection_value(kind, nu, x), end, nu_hat,
-                    g_end, g_hat), bracket)
+    return (*_brent(g, end, nu_hat, g_end, g_hat), bracket)
 
 
-def refine_zero(estimate: ZeroEstimate) -> ZeroRecord:
+def refine_zero(estimate: ZeroEstimate,
+                detector: Callable | None = None) -> ZeroRecord:
     """Refine an asymptotic estimate to a machine-accurate zero.
 
     The estimate names the zero: its kind, n and x are the request. Brackets
@@ -301,12 +334,13 @@ def refine_zero(estimate: ZeroEstimate) -> ZeroRecord:
     estimate's size is below _PROBE_STEPS of them, then nu* -+ h. An
     estimate where g is exactly 0.0 is the zero once both ends of a bracket
     change sign. The zero returned is the solver's best evaluated point,
-    whose residual costs no evaluation. Raises DomainError for an estimate
-    whose n is not a positive integer, when nu* -+ h rounds onto nu*, past
-    the float resolution, or when nu* - h <= 0, and BracketingError, which
-    signals an invalid estimate or one too far from its zero for h, when
-    nu* -+ h leaves the phase window, before any evaluation, and when
-    neither bracket shows a sign change.
+    whose residual costs no evaluation. g is detector, built once per
+    enumeration, or else from the estimate's own pass. Raises DomainError
+    for an estimate whose n is not a positive integer, when nu* -+ h rounds
+    onto nu*, past the float resolution, or when nu* - h <= 0, and
+    BracketingError, which signals an invalid estimate or one too far from
+    its zero for h, when nu* -+ h leaves the phase window, before any
+    evaluation, and when neither bracket shows a sign change.
     """
     kind, n, x, _, _, _, partial, size = estimate
     if type(kind) is not FunctionKind:
@@ -330,16 +364,17 @@ def refine_zero(estimate: ZeroEstimate) -> ZeroRecord:
         raise BracketingError(
             f"estimate nu = {nu_hat!r} -+ {h!r} leaves the phase window "
             f"of {kind.value} n={n} x={x!r}", (lo, hi))
-    g_hat = detection_value(kind, nu_hat, x)
+    detector = detector or _estimator(kind, x)[1]
+    g_hat = detector(nu_hat)
     sign_above = _sign_above(kind, n)
     # The solver's stopping step: a sign change there ends _brent at once.
     step = 2.0 * _EPS * abs(nu_hat) + 0.5 * _WIDTH
     found = None
     if size < _PROBE_STEPS * step and step <= h:
-        found = _half_bracket(kind, x, nu_hat - step, nu_hat + step,
+        found = _half_bracket(detector, nu_hat - step, nu_hat + step,
                               nu_hat, g_hat, sign_above)
     if found is None:
-        found = _half_bracket(kind, x, lo, hi, nu_hat, g_hat, sign_above)
+        found = _half_bracket(detector, lo, hi, nu_hat, g_hat, sign_above)
     if found is None:
         raise BracketingError(
             f"no sign change of the detection value for "
@@ -356,7 +391,7 @@ def refine_zero(estimate: ZeroEstimate) -> ZeroRecord:
 def enumerate_zeros(kind: object, x: float, n_max: int) -> list[ZeroRecord]:
     """Refined zeros for n = 1..n_max, strictly increasing in nu.
 
-    Builds the phase coefficients once and derives every estimate from them,
+    One coefficient pass and detector serve every estimate and refinement,
     so each record equals refine_zero(asymptotic_zero(kind, n, x)). The
     first failing index, n = 1 for an invalid x, aborts the enumeration with
     the completed records attached to the raised EnumerationError.
@@ -365,9 +400,9 @@ def enumerate_zeros(kind: object, x: float, n_max: int) -> list[ZeroRecord]:
     _positive_int("n_max", n_max)
     records: list[ZeroRecord] = []
     try:
-        estimate_of = _estimator(kind, x)
+        estimate_of, detector = _estimator(kind, x)
         for n in range(1, n_max + 1):
-            record = refine_zero(estimate_of(n))
+            record = refine_zero(estimate_of(n), detector)
             if records and record.nu_refined <= records[-1].nu_refined:
                 raise ConvergenceError(
                     f"refined zeros not strictly increasing at n = {n}")

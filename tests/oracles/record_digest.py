@@ -11,7 +11,12 @@ series_sum for both families at +-nu, and log_gamma at z off the line
 and x from 1e-2 to 40, plus the inputs in EVAL_ERRORS;
 a raised error counts by its class and message. The fourth and fifth are
 the first for x in LARGE_XS and SMALL_XS instead; a tree that cannot
-enumerate there raises on it after printing the lines before.
+enumerate there raises on it after printing the lines before. The last line
+is not a digest: it gives the detection evaluations per zero of the
+enumerations at each x in COUNT_XS, the grids whose counts the test suite
+bounds, counted at the zero finder's one detector, and the share of them on
+the C-series, at or above nu_C. That count is the machine-independent cost
+of a zero.
 
 Run it in two checkouts on one machine and compare the lines: a change that
 claims the same bits must print the same digests. It is not a test, because
@@ -36,12 +41,14 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from imbessel import (FunctionKind, detection_value,  # noqa: E402
                       enumerate_zeros, eval_function, log_gamma, series_sum)
+from imbessel import zerofinder  # noqa: E402
 from imbessel.cli import main  # noqa: E402
 
 XS = (0.5, 1.0, 2.0, 4.0, 8.0)
 LARGE_XS = (10.0, 15.0, 20.0, 30.0)
 SMALL_XS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4)
 N_MAX = 500
+COUNT_XS = ((0.5, 1.0, 2.0, 4.0), (10.0, 20.0, 30.0))
 
 CLI_ARGVS = (
     *(["eval", "--kind", kind, "--nu", "5", "--format", fmt]
@@ -147,9 +154,36 @@ def eval_digest() -> tuple[str, int]:
     return digest.hexdigest(), count
 
 
+def evaluation_counts(xs: tuple[float, ...]) -> tuple[float, float]:
+    # (evaluations per zero, percent at or above nu_C) for each kind, x in
+    # xs and n <= N_MAX, counted at zerofinder._detector.
+    counts = [0, 0]
+    detector = zerofinder._detector
+
+    def counting_detector(kind, x, C):
+        g, nu_c = detector(kind, x, C), zerofinder._threshold(C)
+
+        def counting(nu):
+            counts[0] += 1
+            counts[1] += nu >= nu_c
+            return g(nu)
+        return counting
+
+    zerofinder._detector = counting_detector
+    try:
+        zeros = sum(len(enumerate_zeros(kind, x, N_MAX))
+                    for kind in FunctionKind for x in xs)
+    finally:
+        zerofinder._detector = detector
+    return counts[0] / zeros, 100.0 * counts[1] / counts[0]
+
+
 if __name__ == "__main__":
     print("records %s %d" % record_digest())
     print("cli %s %d" % cli_digest())
     print("evals %s %d" % eval_digest())
     print("large_x %s %d" % record_digest(LARGE_XS))
     print("small_x %s %d" % record_digest(SMALL_XS))
+    for xs in COUNT_XS:
+        print("evaluations per zero at x in %s: %.4f, %.1f%% on the C-series"
+              % (xs, *evaluation_counts(xs)))

@@ -45,17 +45,19 @@ def test_c_polynomials_at_zero():
 def test_c_polynomials_at_one_quarter():
     # Every C_k at chi = 1/4 is the correctly rounded float of its exact
     # value: c_polynomials' C0..C5 and the pass's C0..C7 alike. The pass's
-    # C8..C13 are within one eps relative of theirs (measured: 0.47 eps).
+    # C8..C13 are within one eps relative of theirs (measured: 0.47 eps),
+    # and C14, C15, which only bound the C-series, within two (0.78, 1.37).
     C = c_polynomials(0.25)
     assert C[2] == -7.0 / 32.0
     exact = [float(c) for c in _exact_c(Fraction(1, 4))]
     assert C == exact[:6]
     C = asymcoeff._expansion(1.0, "modified")[2]
-    assert len(C) == 14
+    assert len(C) == 16
     assert C[:8] == exact
-    for n in range(8, 14):
+    for n in range(8, 16):
         want = _c_from_stirling(n, Fraction(1, 4))
-        assert abs(Fraction(C[n]) - want) <= Fraction(2 ** -52) * abs(want), n
+        eps = Fraction(2 ** -52) * (1 if n < 14 else 2)
+        assert abs(Fraction(C[n]) - want) <= eps * abs(want), n
 
 
 def test_c_polynomials_are_the_series_expansion_coefficients():
@@ -353,7 +355,7 @@ def test_the_phase_coefficients_match_exact_arithmetic(x, family, digits,
     coeffs = coefficient_set(x, family)
     chi = Fraction(coeffs.chi) * (1 if family == "modified" else -1)
     exact = _exact_phase_coefficients(chi)
-    got = asymcoeff._phase_coefficients(x, family)
+    got, _ = asymcoeff._zero_coefficients(x, family)
     assert tuple(got[:3]) == coeffs.A
     assert len(got) == len(exact) == 7
     for k, (value, want) in enumerate(zip(got, exact)):
@@ -367,7 +369,7 @@ def test_the_phase_coefficient_a3_raises_where_it_overflows():
     # before coefficient_set's own limit near x = 1.4e31.
     assert all(map(math.isfinite, coefficient_set(1e25, "modified").A))
     with pytest.raises(DomainError, match="A3 is not finite"):
-        asymcoeff._phase_coefficients(1e25, "modified")
+        asymcoeff._zero_coefficients(1e25, "modified")
     with pytest.raises(DomainError, match="A3 is not finite"):
         asymptotic_zero("L", 1, 1e25)
 

@@ -163,6 +163,21 @@ def test_table_makes_one_coefficient_pass_per_kind(capsys, monkeypatch):
     assert calls == [(2.0, "ordinary"), (2.0, "ordinary")]
 
 
+@pytest.mark.parametrize("x,n", [("1", "7"), ("10", "150")])
+def test_zeros_n_makes_one_pass_and_prints_the_nth_row(capsys, monkeypatch,
+                                                       x, n):
+    # One pass gives the estimate and the detector; K n = 150 at x = 10
+    # lies above nu_C = 101.9.
+    _, rows, _ = _run(capsys, ["zeros", "--kind", "K", "--x", x,
+                               "--n-max", n, "--format", "json"])
+    calls = _count_passes(monkeypatch)
+    code, out, _ = _run(capsys, ["zeros", "--kind", "K", "--x", x, "--n", n,
+                                 "--format", "json"])
+    assert code == 0
+    assert calls == [(float(x), "modified")]
+    assert json.loads(out) == json.loads(rows)[-1:]
+
+
 def test_coeffs_makes_one_coefficient_pass(capsys, monkeypatch):
     calls = _count_passes(monkeypatch)
     code, _, _ = _run(capsys, ["coeffs", "--kind", "K", "--n-max", "20"])

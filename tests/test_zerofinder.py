@@ -117,7 +117,7 @@ def test_estimate_partial_sums_are_cumulative(estimates_x1):
         assert estimate.nu == estimate.partial[3]
         # partial[4] is nu*, the root of the phase equation carried to A6
         # (to Newton's last step, 1e-7 nu, squared), and size its last term.
-        A = asymcoeff._phase_coefficients(1.0, fk.family)
+        A = asymcoeff._zero_coefficients(1.0, fk.family)[0]
         assert A[:3] == list(coefficient_set(1.0, fk.family).A)
         star, lambda_ = estimate.partial[4], estimate.lambda_
         with mp.workdps(30):
@@ -228,13 +228,7 @@ def test_refine_zero_rejects_estimates_outside_the_phase_window():
 @pytest.mark.parametrize("kind", ["L", "K", "F", "G"])
 def test_refine_zero_needs_at_most_8_detection_evaluations(kind, x,
                                                            monkeypatch):
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return detection_value(*args)
-
-    monkeypatch.setattr(zerofinder, "detection_value", counting)
+    calls = _count_detection_calls(monkeypatch)
     for n in (5, 10, 50, 200):
         calls.clear()
         record = refine_zero(asymptotic_zero(kind, n, x))
@@ -250,13 +244,7 @@ def test_refine_zero_needs_at_most_8_detection_evaluations(kind, x,
 def test_refine_zero_starts_the_solver_at_the_estimate(kind, x, monkeypatch):
     # Far out the estimate is within about 1e-12 of the zero: two bracket
     # ends, the estimate and at most two solver steps.
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return detection_value(*args)
-
-    monkeypatch.setattr(zerofinder, "detection_value", counting)
+    calls = _count_detection_calls(monkeypatch)
     estimate = asymptotic_zero(kind, 200, x)
     refine_zero(estimate)
     assert len(calls) <= 5, f"{kind} x={x}: {len(calls)} calls"
@@ -284,13 +272,16 @@ _SWEEP_XS = (0.5, 1.0, 2.0, 4.0, 8.0)
 
 
 def _count_detection_calls(monkeypatch) -> list:
+    # The (kind, nu, x) of each evaluation, counted at the one detector that
+    # refinement evaluates through, on both sides of its nu_C.
     calls = []
+    detector = zerofinder._detector
 
-    def counting(*args):
-        calls.append(args)
-        return detection_value(*args)
+    def counting_detector(kind, x, C):
+        g = detector(kind, x, C)
+        return lambda nu: calls.append((kind, nu, x)) or g(nu)
 
-    monkeypatch.setattr(zerofinder, "detection_value", counting)
+    monkeypatch.setattr(zerofinder, "_detector", counting_detector)
     return calls
 
 
@@ -633,7 +624,7 @@ def test_the_three_correction_sum_errs_like_xi_to_the_minus_7(kind, x):
     # xi^-7: exponents -7.20 to -7.95 over n = 10, 20 and 40, off -7 by
     # slowly varying factors of log(lambda xi). The sum is formed from the
     # exact xi, so float rounding stays far below.
-    A = asymcoeff._phase_coefficients(x, kind.family)
+    A = asymcoeff._zero_coefficients(x, kind.family)[0]
     assert A[:3] == list(coefficient_set(x, kind.family).A)
     errors = []
     with mp.workdps(50):
@@ -656,7 +647,7 @@ def test_the_phase_root_solves_the_phase_equation_carried_to_a6(x):
     # at most 1.8e-15 relative for x <= 4 (G n = 1, x = 4) and 3.9e-16 at
     # x = 10. size is its last term at nu*, up to Newton's last step.
     for kind in FunctionKind:
-        A = asymcoeff._phase_coefficients(x, kind.family)
+        A = asymcoeff._zero_coefficients(x, kind.family)[0]
         assert len(A) == 7
         for n in (1, 2, 5, 10, 20, 40):
             estimate = asymptotic_zero(kind, n, x)
@@ -682,7 +673,7 @@ def test_every_estimate_starts_from_nu_star_solved_from_the_paper_sum():
     # here, K n = 1 at x = 20 included.
     for kind in FunctionKind:
         for x in (0.5, 1.0, 4.0, 20.0):
-            pairs = _pairs(asymcoeff._phase_coefficients(x, kind.family))
+            pairs = _pairs(asymcoeff._zero_coefficients(x, kind.family)[0])
             for n in range(1, 61):
                 estimate = asymptotic_zero(kind, n, x)
                 star, size = zerofinder._phase_root(
@@ -699,7 +690,7 @@ def test_the_phase_root_raises_where_newton_does_not_converge(monkeypatch,
     # to the paper's sum: asymptotic_zero raises it, an enumeration aborts
     # on it, and the CLI exits 3.
     estimate = asymptotic_zero("K", 1, 1.0)
-    A = asymcoeff._phase_coefficients(1.0, "modified")
+    A, C = asymcoeff._zero_coefficients(1.0, "modified")
     pairs = _pairs(A)
     args = (estimate.m, estimate.lambda_)
     assert zerofinder._phase_root(pairs, *args, estimate.partial[3]) == (
@@ -710,8 +701,8 @@ def test_the_phase_root_raises_where_newton_does_not_converge(monkeypatch,
                                    estimate.partial[3])
     with pytest.raises(ConvergenceError, match="phase equation"):
         zerofinder._phase_root(pairs, *args, 1e6)
-    monkeypatch.setattr(zerofinder, "_phase_coefficients",
-                        lambda x, family: [*A[:6], math.inf])
+    monkeypatch.setattr(zerofinder, "_zero_coefficients",
+                        lambda x, family: ([*A[:6], math.inf], C))
     with pytest.raises(ConvergenceError, match="phase equation") as info:
         asymptotic_zero("K", 1, 1.0)
     assert type(info.value) is ConvergenceError
@@ -817,18 +808,27 @@ def test_the_checked_bracket_is_reused_for_the_first_width(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("n,on_c_series", [(3, False), (400, True)])
 def test_refine_zero_evaluates_through_the_zerofinder_detection_value(
-        monkeypatch):
-    # Every series evaluation goes through the module attribute a layer
-    # tracer wraps; the residual reuses the solver's last value.
+        n, on_c_series, monkeypatch):
+    # Every evaluation at the detector is one detection_value call below
+    # nu_C, with its series_sum, or one c_series_sum call from nu_C on, each
+    # through the zerofinder module attribute a layer tracer wraps; the
+    # residual reuses the solver's last value. K n = 3 at x = 1 lies below
+    # nu_C = 25.9 and n = 400 above it.
     calls = _count_detection_calls(monkeypatch)
-    series = []
-    series_sum = besseval.series_sum
-    monkeypatch.setattr(besseval, "series_sum",
-                        lambda *args: series.append(args) or series_sum(*args))
-    refine_zero(asymptotic_zero("K", 3, 1.0))
+    counted = collections.Counter()
+    for module, name in ((zerofinder, "detection_value"),
+                         (zerofinder, "c_series_sum"),
+                         (besseval, "series_sum")):
+        function = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _f=function, _n=name:
+                            counted.update([_n]) or _f(*args))
+    refine_zero(asymptotic_zero("K", n, 1.0))
     assert calls
-    assert len(series) == len(calls)
+    assert counted["detection_value"] + counted["c_series_sum"] == len(calls)
+    assert counted["series_sum"] == counted["detection_value"]
+    assert counted["c_series_sum"] == (len(calls) if on_c_series else 0)
 
 
 def _perfbench_spans():
@@ -845,13 +845,19 @@ def _perfbench_spans():
 def test_an_enumeration_calls_every_traced_layer_through_its_module(
         kind, x, monkeypatch):
     # The benchmark's tracer wraps each layer's module attributes; a layer
-    # fused away or called around its attribute changes these counts. The
-    # order of each evaluation is recorded under the tracer's wrapper.
+    # fused away or called around its attribute changes these counts. This
+    # copy of the tracer also wraps c_series_sum. The order of each
+    # evaluation is recorded under the tracer's wrapper.
     orders = []
-    series_sum = besseval.series_sum
-    monkeypatch.setattr(besseval, "series_sum", lambda *args: orders.append(
-        args[0]) or series_sum(*args))
+    for name, modules in (("series_sum", [besseval]),
+                          ("c_series_sum", [besseval, zerofinder])):
+        function = getattr(besseval, name)
+        recording = (lambda *args, _f=function:
+                     orders.append(args[0]) or _f(*args))
+        for module in modules:
+            monkeypatch.setattr(module, name, recording)
     spans = _perfbench_spans()
+    spans.FUNCTIONS += ("besseval.c_series_sum",)
     tracer = spans.Tracer()
     tracer.install({name: importlib.import_module(f"imbessel.{name}")
                     for name in spans.LAYERS})
@@ -864,24 +870,26 @@ def test_an_enumeration_calls_every_traced_layer_through_its_module(
     for per_zero in ("zerofinder.refine_zero", "lambertw.lambert_w0",
                      "asymcoeff.correction_coefficients"):
         assert calls[per_zero] == 500, per_zero
-    evaluations = calls["besseval.detection_value"]
+    # Each evaluation is one detection_value or one c_series_sum call.
+    below = calls["besseval.detection_value"]
+    evaluations = below + calls["besseval.c_series_sum"]
     assert evaluations >= 1000
-    for per_evaluation in ("cgamma.recip_gamma_prefactor",
-                           "besseval.series_sum"):
-        assert calls[per_evaluation] == evaluations, per_evaluation
+    assert 0 < below < evaluations
+    assert calls["cgamma.recip_gamma_prefactor"] == evaluations
+    assert calls["besseval.series_sum"] == below
     # log_gamma gives the prefactor's phase below nu = 16 only.
     assert len(orders) == evaluations
-    below = sum(nu < 16.0 for nu in orders)
-    assert 0 < below < evaluations
-    assert calls["cgamma.log_gamma"] == below
+    assert calls["cgamma.log_gamma"] == sum(nu < 16.0 for nu in orders) > 0
     # Each evaluation layer runs inside the one above it.
-    inside = {"besseval.detection_value": "zerofinder.refine_zero",
-              "besseval.series_sum": "besseval.detection_value",
-              "cgamma.recip_gamma_prefactor": "besseval.detection_value",
-              "cgamma.log_gamma": "cgamma.recip_gamma_prefactor"}
+    inside = {"besseval.detection_value": {"zerofinder.refine_zero"},
+              "besseval.c_series_sum": {"zerofinder.refine_zero"},
+              "besseval.series_sum": {"besseval.detection_value"},
+              "cgamma.recip_gamma_prefactor": {"besseval.detection_value",
+                                               "zerofinder.refine_zero"},
+              "cgamma.log_gamma": {"cgamma.recip_gamma_prefactor"}}
     for name, parent in zip(names, tracer.parent):
         if name in inside:
-            assert names[parent] == inside[name], name
+            assert names[parent] in inside[name], name
 
 
 @pytest.mark.parametrize("n", [1, 400])
@@ -895,11 +903,11 @@ def test_an_exact_zero_at_the_estimate_is_confirmed_by_both_ends(
     assert (estimate.size < zerofinder._PROBE_STEPS * step) == (n == 400)
     calls = []
 
-    def linear(kind, nu, x):
+    def linear(nu):
         calls.append(nu)
         return nu - start
 
-    monkeypatch.setattr(zerofinder, "detection_value", linear)
+    monkeypatch.setattr(zerofinder, "_detector", lambda kind, x, C: linear)
     record = refine_zero(estimate)
     lo, hi = record.bracket
     assert record.nu_refined == start
@@ -925,22 +933,21 @@ def test_brent_returns_an_interior_iterate_where_g_is_exactly_zero():
 
 @pytest.mark.parametrize("g_end", [-0.25, -0.5, -0.75])
 def test_a_bracket_within_the_stopping_step_returns_what_brent_returns(
-        g_end, monkeypatch):
+        g_end):
     # The probe bracket needs no solver step: the half bracket returns
     # _brent's answer, the end with the smaller |g| and the estimate on a
     # tie, and evaluates nothing past the end.
     nu_hat = 1000.0
     step = 2.0 * math.ulp(1.0) * nu_hat + 0.5 * zerofinder._WIDTH
     calls = []
-    monkeypatch.setattr(zerofinder, "detection_value",
-                        lambda kind, nu, x: calls.append(nu) or g_end)
 
     def no_call(nu):
         raise AssertionError("the solver evaluated")
 
     want = zerofinder._brent(no_call, nu_hat - step, nu_hat, g_end, 0.5)
-    got = zerofinder._half_bracket(FunctionKind.K, 1.0, nu_hat - step,
-                                   nu_hat + step, nu_hat, 0.5, 1.0)
+    got = zerofinder._half_bracket(lambda nu: calls.append(nu) or g_end,
+                                   nu_hat - step, nu_hat + step, nu_hat, 0.5,
+                                   1.0)
     assert got == (*want, (nu_hat - step, nu_hat))
     assert calls == [nu_hat - step]
     assert want[0] == (nu_hat - step if g_end == -0.25 else nu_hat)
@@ -979,14 +986,24 @@ def test_record_residuals_are_small_on_the_local_scale(records_x1):
         assert residual <= 1e-10 * scale, f"{kind} n={n}"
 
 
-def test_record_residual_field_is_the_function_value(refined_to_500):
-    # The residual reuses the solver's detection value, bit for bit what a
-    # fresh evaluation gives.
+def test_record_residual_field_is_the_detector_value(refined_to_500):
+    # The residual reuses the solver's value at the detector, bit for bit
+    # what a fresh evaluation there gives, and its unit value is within
+    # 1e-15 of eval_function's.
     rows = _refined_at_most_x4(refined_to_500)
     assert len(rows) == 8000
+    detectors = {}
     for kind, x, record in rows:
-        again = eval_function(kind, record.nu_refined, x)
-        assert record.residual == again, f"{kind.value} n={record.n} x={x}"
+        if (kind, x) not in detectors:
+            C = asymcoeff._zero_coefficients(x, kind.family)[1]
+            detectors[kind, x] = zerofinder._detector(kind, x, C)
+        nu, where = record.nu_refined, f"{kind.value} n={record.n} x={x}"
+        g = detectors[kind, x](nu)
+        assert record.residual == \
+            besseval._normalized(g, kind.log_scale(nu)), where
+        assert abs(g - detection_value(kind, nu, x)) <= 1e-15, where
+        assert eval_function(kind, nu, x) == besseval._normalized(
+            detection_value(kind, nu, x), kind.log_scale(nu)), where
 
 
 def test_refined_phases_sit_within_the_half_pi_window(records_x1,
@@ -1169,3 +1186,95 @@ def test_enumerate_reports_invalid_arguments_at_n_1(x):
     assert info.value.n == 1
     assert info.value.partial == ()
     assert isinstance(info.value.__cause__, DomainError)
+
+
+# The C-series detector: above nu_C refinement evaluates the ascending
+# series in 1/(i nu) over the pass's C_0..C_13.
+
+_C_SERIES_XS = (0.5, 1.0, 2.0, 4.0, 10.0, 20.0)
+
+
+def _exact_c(n: int, c) -> mp.mpf:
+    # C_n(c) = sum_k (-1)^(n-k) S(n, k) c^k / k!, at the working precision.
+    return mp.fsum((-1) ** (n - k) * mp.stirling2(n, k) * c ** k
+                   / mp.factorial(k) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("x", _C_SERIES_XS)
+@pytest.mark.parametrize("family", ["modified", "ordinary"])
+def test_the_c_series_truncation_is_within_its_bound(x, family):
+    # The series through C_13 against hyp0f1(1 + i nu, +-chi), both at 40
+    # digits with the exact C_n, at nu_C, 1.3 nu_C and 5 nu_C: the error of
+    # the truncation alone is at most 2^-56, the bound nu_C is set by.
+    nu_c = zerofinder._threshold(asymcoeff._zero_coefficients(x, family)[1])
+    assert nu_c > 16.0
+    with mp.workdps(40):
+        c = mp.mpf(x) ** 2 / 4 * (1 if family == "modified" else -1)
+        C = [_exact_c(n, c) for n in range(14)]
+        for nu in (nu_c, 1.3 * nu_c, 5.0 * nu_c):
+            inu = mp.mpc(0, nu)
+            series = mp.fsum(C[n] / inu ** n for n in range(14))
+            error = abs(series - mp.hyp0f1(1 + inu, c))
+            assert error <= mp.mpf(2) ** -56, (nu / nu_c, float(error))
+
+
+@pytest.mark.parametrize("family", ["modified", "ordinary"])
+def test_nu_c_is_the_least_nu_within_the_bound(family):
+    # 2 (|C14| nu^-14 + |C15| nu^-15) is 2^-56 at nu_C, to a few ulps, and
+    # nu_C is the floor 16 where the terms are smaller there, as at x = 0.01.
+    for x in (0.01, *_C_SERIES_XS, 30.0, 1e3):
+        C = asymcoeff._zero_coefficients(x, family)[1]
+        nu_c = zerofinder._threshold(C)
+
+        def bound(nu):
+            return 2.0 * (abs(C[14]) * nu ** -14 + abs(C[15]) * nu ** -15)
+
+        assert nu_c >= 16.0, x
+        if x == 0.01:
+            assert nu_c == 16.0 and bound(16.0) < 2.0 ** -56
+        else:
+            assert bound(nu_c) == pytest.approx(2.0 ** -56, rel=1e-14), x
+            assert bound(nu_c * (1.0 - 1e-12)) > 2.0 ** -56, x
+
+
+def test_the_detector_matches_detection_value_above_nu_c():
+    # 4,000 seeded points: a kind, x log-uniform in [0.01, 30] and nu
+    # log-uniform in [nu_C, 50 nu_C]. Measured at most 4.4e-16 apart.
+    rng = random.Random(20261022)
+    kinds = list(FunctionKind)
+    worst = 0.0
+    for _ in range(4000):
+        kind = rng.choice(kinds)
+        x = 10.0 ** rng.uniform(-2.0, math.log10(30.0))
+        C = asymcoeff._zero_coefficients(x, kind.family)[1]
+        nu = zerofinder._threshold(C) * 50.0 ** rng.random()
+        got = zerofinder._detector(kind, x, C)(nu)
+        worst = max(worst, abs(got - detection_value(kind, nu, x)))
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("index,value", [(14, math.inf), (15, -math.inf),
+                                         (14, math.nan), (15, math.nan)])
+def test_a_non_finite_c14_or_c15_leaves_every_nu_to_detection_value(
+        index, value):
+    C = list(asymcoeff._zero_coefficients(1.0, "modified")[1])
+    C[index] = value
+    assert zerofinder._threshold(C) == math.inf
+    for kind in FunctionKind:
+        detect = zerofinder._detector(kind, 1.0, C)
+        for nu in (0.5, 16.0, 30.0, 200.0, 1e4):
+            assert detect(nu) == detection_value(kind, nu, 1.0), (kind, nu)
+
+
+@pytest.mark.parametrize("kind", ["L", "K", "F", "G"])
+def test_enumerate_matches_refining_each_estimate_at_x_10(kind):
+    # At x = 10 nu_C is 101.9 (L, K) and 179.8 (F, G): the zeros n <= 300
+    # lie on both sides of it.
+    records = enumerate_zeros(kind, 10.0, 300)
+    family = FunctionKind.coerce(kind).family
+    nu_c = zerofinder._threshold(asymcoeff._zero_coefficients(10.0,
+                                                              family)[1])
+    assert records[0].nu_refined < nu_c < records[-1].nu_refined
+    for record in records:
+        assert record == refine_zero(asymptotic_zero(kind, record.n, 10.0)), \
+            f"{kind} n={record.n}"
